@@ -8,8 +8,11 @@ all: build
 build:
 	$(GO) build ./...
 
+# The benchmark/ directory is its own Go module (replace pplb => ../), so
+# the root ./... pattern does not reach it; its smoke tests run separately.
 test:
 	$(GO) test ./...
+	cd benchmark && $(GO) test .
 
 vet:
 	$(GO) vet ./...

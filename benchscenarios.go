@@ -1,5 +1,7 @@
 package pplb
 
+import "strconv"
+
 // TickBenchScenario is one engine tick-benchmark configuration. The same
 // table backs the go-test BenchmarkTick* benchmarks and the machine-readable
 // `pplb-bench -benchjson` record, so the two report comparable numbers and
@@ -229,7 +231,7 @@ func sparse1MScenario(name string, workers int) TickBenchScenario {
 // prefix, so `pplb-bench -benchjson` records and `go test -bench` output are
 // directly greppable against each other.
 func TickBenchScenarios() []TickBenchScenario {
-	return []TickBenchScenario{
+	out := []TickBenchScenario{
 		tickScenario("TickPPLBTorus256", func() *Graph { return Torus(16, 16) },
 			func() Policy { return NewBalancer(DefaultBalancerConfig()) }, 512, 20),
 		tickScenario("TickPPLBTorus1024", func() *Graph { return Torus(32, 32) },
@@ -239,15 +241,14 @@ func TickBenchScenarios() []TickBenchScenario {
 		tickScenario("TickGMTorus256", func() *Graph { return Torus(16, 16) },
 			func() Policy { return GradientModelPolicy() }, 512, 20),
 		parallelScenario("TickPPLBParallel", func() *Graph { return RandomRegular(1024, 4, 7) }, 4, 8, 10),
-		// The production-scale scenarios the sharded pipeline opens: tens of
-		// thousands of nodes, the evaluation sizes of the massively-parallel
-		// load-balancing literature (Eibl & Rüde 2018; Demiralp et al. 2022).
-		// The Workers=1 twin of the 16k torus measures the parallel speedup
-		// on the same commit.
-		parallelScenario("TickPPLBTorus16384", func() *Graph { return Torus(128, 128) }, 4, 8, 10),
-		parallelScenario("TickPPLBTorus16384W1", func() *Graph { return Torus(128, 128) }, 4, 1, 10),
-		parallelScenario("TickPPLBTorus16384W2", func() *Graph { return Torus(128, 128) }, 4, 2, 10),
-		parallelScenario("TickPPLBTorus16384W4", func() *Graph { return Torus(128, 128) }, 4, 4, 10),
+	}
+	// The production-scale scenarios the sharded pipeline opens: tens of
+	// thousands of nodes, the evaluation sizes of the massively-parallel
+	// load-balancing literature (Eibl & Rüde 2018; Demiralp et al. 2022).
+	// The worker-count sweep of the 16k torus measures the parallel speedup
+	// on the same commit.
+	out = append(out, torus16384Sweep.scenarios()...)
+	out = append(out,
 		parallelScenario("TickPPLBRR65536", func() *Graph { return RandomRegular(65536, 4, 7) }, 2, 8, 5),
 		// The active-set pair (PR 6): post-convergence tick cost with and
 		// without incremental planning, from bit-identical states. The delta
@@ -259,11 +260,8 @@ func TickBenchScenarios() []TickBenchScenario {
 		// after a reconfigured history (pinned to 0 allocs/op by the gate).
 		churnScenario("TickPPLBChurnTorus16384", 8),
 		postChurnSteadyScenario("TickSteadyStateTorus16384PostChurn", 400),
-		sparse1MScenario("TickPPLBSparse1M", 8),
-		sparse1MScenario("TickPPLBSparse1MW1", 1),
-		sparse1MScenario("TickPPLBSparse1MW2", 2),
-		sparse1MScenario("TickPPLBSparse1MW4", 4),
-	}
+	)
+	return append(out, sparse1MSweep.scenarios()...)
 }
 
 // ParallelSweep is a worker-count scan of one scenario family: the same
@@ -285,20 +283,54 @@ type ParallelSweep struct {
 // it measures how much of the fused dispatch survives when the per-tick work
 // is a few percent of the machine.
 func ParallelSweeps() []ParallelSweep {
-	return []ParallelSweep{
-		{Name: "Torus16384", Scenarios: map[int]string{
-			1: "TickPPLBTorus16384W1",
-			2: "TickPPLBTorus16384W2",
-			4: "TickPPLBTorus16384W4",
-			8: "TickPPLBTorus16384",
-		}},
-		{Name: "Sparse1M", Scenarios: map[int]string{
-			1: "TickPPLBSparse1MW1",
-			2: "TickPPLBSparse1MW2",
-			4: "TickPPLBSparse1MW4",
-			8: "TickPPLBSparse1M",
-		}},
+	var out []ParallelSweep
+	for _, sw := range []workerSweep{torus16384Sweep, sparse1MSweep} {
+		names := make(map[int]string, len(sweepWorkers))
+		for _, w := range sweepWorkers {
+			names[w] = sw.scenarioName(w)
+		}
+		out = append(out, ParallelSweep{Name: sw.name, Scenarios: names})
 	}
+	return out
+}
+
+// sweepWorkers lists the worker counts of every sweep, in the order their
+// scenarios appear in TickBenchScenarios: the default Workers=8 first.
+var sweepWorkers = []int{8, 1, 2, 4}
+
+// workerSweep is one row of the sweep table behind both TickBenchScenarios
+// and ParallelSweeps. Its scenarios are named "TickPPLB<name>" at the
+// default Workers=8 and "TickPPLB<name>W<n>" at every other count.
+type workerSweep struct {
+	name  string
+	build func(name string, workers int) TickBenchScenario
+}
+
+var (
+	torus16384Sweep = workerSweep{"Torus16384", torus16384Scenario}
+	sparse1MSweep   = workerSweep{"Sparse1M", sparse1MScenario}
+)
+
+// torus16384Scenario is the dense production-scale workload: four tasks per
+// node on a 128x128 torus.
+func torus16384Scenario(name string, workers int) TickBenchScenario {
+	return parallelScenario(name, func() *Graph { return Torus(128, 128) }, 4, workers, 10)
+}
+
+func (sw workerSweep) scenarioName(workers int) string {
+	if workers == 8 {
+		return "TickPPLB" + sw.name
+	}
+	return "TickPPLB" + sw.name + "W" + strconv.Itoa(workers)
+}
+
+// scenarios builds the sweep's scenario at every worker count.
+func (sw workerSweep) scenarios() []TickBenchScenario {
+	out := make([]TickBenchScenario, 0, len(sweepWorkers))
+	for _, w := range sweepWorkers {
+		out = append(out, sw.build(sw.scenarioName(w), w))
+	}
+	return out
 }
 
 // TickBenchScenario lookup by name; nil when unknown.

@@ -47,10 +47,11 @@ func main() {
 
 func meanHops(sys *pplb.System) float64 {
 	s := sys.State()
+	st := s.TaskStore()
 	total, count := 0, 0
 	for v := 0; v < s.Graph().N(); v++ {
-		for _, t := range s.Queue(v).Tasks() {
-			total += t.Hops
+		for _, h := range s.Queue(v).Handles() {
+			total += st.Hops(h)
 			count++
 		}
 	}

@@ -20,16 +20,16 @@ type fuzzPolicy struct{}
 
 func (fuzzPolicy) Name() string { return "fuzz" }
 
-func (fuzzPolicy) PlanNode(v int, view *View, r *rng.RNG) []Move {
-	var moves []Move
-	tasks := view.Tasks(v)
+func (fuzzPolicy) PlanNodeInto(v int, view *View, r *rng.RNG, moves []Move) []Move {
+	st := view.TaskStore()
+	tasks := view.TaskHandles(v)
 	n := view.N()
 	for k := 0; k < 3; k++ {
 		m := Move{From: v, NewFlag: math.NaN()}
 		switch r.Intn(5) {
 		case 0: // valid-ish move of an own task to a random node
 			if len(tasks) > 0 {
-				m.TaskID = tasks[r.Intn(len(tasks))].ID
+				m.TaskID = st.ID(tasks[r.Intn(len(tasks))])
 				m.To = r.Intn(n)
 			}
 		case 1: // unknown task
@@ -39,16 +39,16 @@ func (fuzzPolicy) PlanNode(v int, view *View, r *rng.RNG) []Move {
 			m.From = r.Intn(n)
 			m.To = r.Intn(n)
 			if len(tasks) > 0 {
-				m.TaskID = tasks[0].ID
+				m.TaskID = st.ID(tasks[0])
 			}
 		case 3: // self loop
 			if len(tasks) > 0 {
-				m.TaskID = tasks[0].ID
+				m.TaskID = st.ID(tasks[0])
 				m.To = v
 			}
 		case 4: // out-of-range destination
 			if len(tasks) > 0 {
-				m.TaskID = tasks[0].ID
+				m.TaskID = st.ID(tasks[0])
 				m.To = n + 5
 			}
 		}

@@ -40,8 +40,8 @@ type None struct{}
 // Name implements sim.Policy.
 func (None) Name() string { return "none" }
 
-// PlanNode implements sim.Policy.
-func (None) PlanNode(int, *sim.View, *rng.RNG) []sim.Move { return nil }
+// PlanNodeInto implements sim.Policy: never proposes a move.
+func (None) PlanNodeInto(_ int, _ *sim.View, _ *rng.RNG, moves []sim.Move) []sim.Move { return moves }
 
 // PlanLocality implements sim.LocalityDeclarer: the always-empty plan is
 // trivially a pure function of anything.
@@ -82,12 +82,7 @@ func (d Diffusion) Name() string { return "diffusion" }
 // only — no randomness, tick number, or internal state.
 func (d Diffusion) PlanLocality() sim.Locality { return sim.LocalityNeighborhood }
 
-// PlanNode implements sim.Policy.
-func (d Diffusion) PlanNode(v int, view *sim.View, r *rng.RNG) []sim.Move {
-	return d.PlanNodeInto(v, view, r, nil)
-}
-
-// PlanNodeInto implements sim.MovePlanner (PlanNode into a reused buffer).
+// PlanNodeInto implements sim.Policy.
 func (d Diffusion) PlanNodeInto(v int, view *sim.View, _ *rng.RNG, moves []sim.Move) []sim.Move {
 	moves = moves[:0]
 	tasks := view.TaskHandles(v)
@@ -199,12 +194,7 @@ func (d *DimensionExchange) PrepareTick(view *sim.View) {
 	}
 }
 
-// PlanNode implements sim.Policy.
-func (d *DimensionExchange) PlanNode(v int, view *sim.View, r *rng.RNG) []sim.Move {
-	return d.PlanNodeInto(v, view, r, nil)
-}
-
-// PlanNodeInto implements sim.MovePlanner (PlanNode into a reused buffer).
+// PlanNodeInto implements sim.Policy.
 func (d *DimensionExchange) PlanNodeInto(v int, view *sim.View, _ *rng.RNG, moves []sim.Move) []sim.Move {
 	moves = moves[:0]
 	j := d.partnerOf[v]
@@ -299,12 +289,7 @@ func (g *GradientModel) PrepareTick(view *sim.View) {
 	g.bfs = queue[:0]
 }
 
-// PlanNode implements sim.Policy.
-func (g *GradientModel) PlanNode(v int, view *sim.View, r *rng.RNG) []sim.Move {
-	return g.PlanNodeInto(v, view, r, nil)
-}
-
-// PlanNodeInto implements sim.MovePlanner (PlanNode into a reused buffer).
+// PlanNodeInto implements sim.Policy.
 func (g *GradientModel) PlanNodeInto(v int, view *sim.View, _ *rng.RNG, moves []sim.Move) []sim.Move {
 	moves = moves[:0]
 	_, hi := g.factors()
@@ -363,12 +348,7 @@ func (c CWN) Name() string { return "cwn" }
 // and speeds — all within the neighbourhood contract.
 func (c CWN) PlanLocality() sim.Locality { return sim.LocalityNeighborhood }
 
-// PlanNode implements sim.Policy.
-func (c CWN) PlanNode(v int, view *sim.View, r *rng.RNG) []sim.Move {
-	return c.PlanNodeInto(v, view, r, nil)
-}
-
-// PlanNodeInto implements sim.MovePlanner (PlanNode into a reused buffer).
+// PlanNodeInto implements sim.Policy.
 func (c CWN) PlanNodeInto(v int, view *sim.View, _ *rng.RNG, moves []sim.Move) []sim.Move {
 	moves = moves[:0]
 	maxHops := c.MaxHops
@@ -439,15 +419,9 @@ func (r *RandomSender) PrepareTick(view *sim.View) {
 	r.mean = sum / float64(len(r.heights))
 }
 
-// PlanNode implements sim.Policy.
-func (r *RandomSender) PlanNode(v int, view *sim.View, rnd *rng.RNG) []sim.Move {
-	return r.PlanNodeInto(v, view, rnd, nil)
-}
-
-// PlanNodeInto implements sim.MovePlanner (PlanNode into a reused buffer).
-// The probe draw happens before the busy/height checks, exactly as in
-// PlanNode since the first release — the draw sequence is part of the
-// deterministic trajectory.
+// PlanNodeInto implements sim.Policy. The probe draw happens before the
+// busy/height checks, as it has since the first release — the draw sequence
+// is part of the deterministic trajectory.
 func (r *RandomSender) PlanNodeInto(v int, view *sim.View, rnd *rng.RNG, moves []sim.Move) []sim.Move {
 	moves = moves[:0]
 	factor := r.ThresholdFactor
@@ -484,18 +458,13 @@ var (
 	_ sim.Policy           = None{}
 	_ sim.LocalityDeclarer = None{}
 	_ sim.Policy           = Diffusion{}
-	_ sim.MovePlanner      = Diffusion{}
 	_ sim.LocalityDeclarer = Diffusion{}
 	_ sim.Policy           = (*DimensionExchange)(nil)
-	_ sim.MovePlanner      = (*DimensionExchange)(nil)
 	_ sim.TickPreparer     = (*DimensionExchange)(nil)
 	_ sim.Policy           = (*GradientModel)(nil)
-	_ sim.MovePlanner      = (*GradientModel)(nil)
 	_ sim.TickPreparer     = (*GradientModel)(nil)
 	_ sim.Policy           = CWN{}
-	_ sim.MovePlanner      = CWN{}
 	_ sim.LocalityDeclarer = CWN{}
 	_ sim.Policy           = (*RandomSender)(nil)
-	_ sim.MovePlanner      = (*RandomSender)(nil)
 	_ sim.TickPreparer     = (*RandomSender)(nil)
 )

@@ -122,8 +122,8 @@ func TestGradientModelDrainsHotspot(t *testing.T) {
 	// GM routes multi-hop: some tasks must have hopped more than once.
 	multi := 0
 	for v := 0; v < g.N(); v++ {
-		for _, task := range s.Queue(v).Tasks() {
-			if task.Hops > 1 {
+		for _, h := range s.Queue(v).Handles() {
+			if s.TaskStore().Hops(h) > 1 {
 				multi++
 			}
 		}
@@ -150,9 +150,9 @@ func TestCWNBalancesNeighbourhood(t *testing.T) {
 	}
 	// Hop budget must be respected.
 	for v := 0; v < g.N(); v++ {
-		for _, task := range s.Queue(v).Tasks() {
-			if task.Hops > 4 {
-				t.Fatalf("CWN exceeded hop budget: %d", task.Hops)
+		for _, h := range s.Queue(v).Handles() {
+			if hops := s.TaskStore().Hops(h); hops > 4 {
+				t.Fatalf("CWN exceeded hop budget: %d", hops)
 			}
 		}
 	}
@@ -162,9 +162,9 @@ func TestCWNHopBudgetConfigurable(t *testing.T) {
 	g := topology.NewRing(8)
 	s := run(t, g, CWN{MaxHops: 1}, hotspot(8, 32, 0.5), 300)
 	for v := 0; v < g.N(); v++ {
-		for _, task := range s.Queue(v).Tasks() {
-			if task.Hops > 1 {
-				t.Fatalf("MaxHops=1 exceeded: %d", task.Hops)
+		for _, h := range s.Queue(v).Handles() {
+			if hops := s.TaskStore().Hops(h); hops > 1 {
+				t.Fatalf("MaxHops=1 exceeded: %d", hops)
 			}
 		}
 	}

@@ -119,16 +119,16 @@ type Balancer struct {
 	cfg     Config
 	chooser arbiter.Chooser
 
-	// scratch holds per-planning-call buffers. PlanNode may run concurrently
-	// (one goroutine per node on the engine's worker pool), so the buffers
-	// are pooled rather than stored on the balancer directly.
+	// scratch holds per-planning-call buffers. PlanNodeInto may run
+	// concurrently (one goroutine per node on the engine's worker pool), so
+	// the buffers are pooled rather than stored on the balancer directly.
 	scratch sync.Pool
 }
 
-// planScratch carries the reusable buffers of one PlanNode call. Candidate
-// neighbours are tracked by their position k in Neighbors(v), so the
-// projected-height and used-link tables are small dense slices instead of
-// maps keyed by node id.
+// planScratch carries the reusable buffers of one PlanNodeInto call.
+// Candidate neighbours are tracked by their position k in Neighbors(v), so
+// the projected-height and used-link tables are small dense slices instead
+// of maps keyed by node id.
 type planScratch struct {
 	keys   []loadKey // (load, id, handle) sort keys, descending-load order
 	cand   []int     // feasible neighbour positions
@@ -193,14 +193,14 @@ func New(cfg Config) *Balancer {
 // Name implements sim.Policy.
 func (b *Balancer) Name() string { return "pplb" }
 
-// PlanLocality implements sim.LocalityDeclarer: whether PlanNode(v) proposes
-// nothing is decided entirely by v's neighbourhood. Both passes gate every
-// candidate on v's own tasks (load, flag, Moving, Prev, dependency weight to
-// co-located tasks), the heights of v's neighbours, the busy flags of v's
-// incident links, and static configuration (link costs, speeds, resources);
-// the chooser — the only consumer of randomness and of the tick number — is
-// consulted strictly after a non-empty candidate set exists, so an empty
-// plan never depends on it.
+// PlanLocality implements sim.LocalityDeclarer: whether PlanNodeInto(v)
+// proposes nothing is decided entirely by v's neighbourhood. Both passes
+// gate every candidate on v's own tasks (load, flag, Moving, Prev,
+// dependency weight to co-located tasks), the heights of v's neighbours, the
+// busy flags of v's incident links, and static configuration (link costs,
+// speeds, resources); the chooser — the only consumer of randomness and of
+// the tick number — is consulted strictly after a non-empty candidate set
+// exists, so an empty plan never depends on it.
 func (b *Balancer) PlanLocality() sim.Locality { return sim.LocalityNeighborhood }
 
 // Config returns the balancer's configuration.
@@ -214,16 +214,14 @@ func (b *Balancer) linkCost(view *sim.View, i, j int) float64 {
 	return view.Links().Cost(i, j)
 }
 
-// MuS returns the static friction of task t on node v (§4.2):
+// MuS returns the static friction of task id on node v (§4.2):
 //
 //	µs(l_t, v) = CsT · Σ_{u ≠ t co-located} T[t][u] + CsR · R[t][v]
-func (b *Balancer) MuS(view *sim.View, t *taskmodel.Task, v int) float64 {
-	return b.muS(view, t.ID, v)
-}
-
-// muS is MuS keyed by task id — the form the handle-based planning loops
-// use; both friction components are functions of the id alone.
-func (b *Balancer) muS(view *sim.View, id taskmodel.ID, v int) float64 {
+//
+// Both friction components are functions of the id alone. With no
+// dependency graph or affinity table attached (or both couplings off) it is
+// exactly 0.0.
+func (b *Balancer) MuS(view *sim.View, id taskmodel.ID, v int) float64 {
 	mu := 0.0
 	if tg := view.TaskGraph(); tg != nil && b.cfg.CsT != 0 {
 		mu += b.cfg.CsT * view.DepWeightToNode(id, v)
@@ -234,11 +232,11 @@ func (b *Balancer) muS(view *sim.View, id taskmodel.ID, v int) float64 {
 	return mu
 }
 
-// MuK returns the kinetic friction of task t leaving node v:
+// MuK returns the kinetic friction of task id leaving node v:
 //
-//	µk = Ck0 + CkProp · µs(t, v)
-func (b *Balancer) MuK(view *sim.View, t *taskmodel.Task, v int) float64 {
-	return b.cfg.Ck0 + b.cfg.CkProp*b.muS(view, t.ID, v)
+//	µk = Ck0 + CkProp · µs(id, v)
+func (b *Balancer) MuK(view *sim.View, id taskmodel.ID, v int) float64 {
+	return b.cfg.Ck0 + b.cfg.CkProp*b.MuS(view, id, v)
 }
 
 // dampFlag applies the inelastic-landing extension: the flag keeps only
@@ -254,13 +252,9 @@ func (b *Balancer) dampFlag(flag, destHeight float64) float64 {
 	return flag
 }
 
-// PlanNode implements sim.Policy: one tick of PPLB decisions for node v.
-func (b *Balancer) PlanNode(v int, view *sim.View, r *rng.RNG) []sim.Move {
-	return b.PlanNodeInto(v, view, r, nil)
-}
-
-// PlanNodeInto implements sim.MovePlanner: PlanNode appending into a caller
-// buffer, so a steady-state planning call allocates nothing.
+// PlanNodeInto implements sim.Policy: one tick of PPLB decisions for node v,
+// appended into a caller buffer, so a steady-state planning call allocates
+// nothing.
 //
 // All per-call working state lives in a pooled planScratch; tasks are read
 // through the arena's handle lanes, and candidate neighbours are addressed
@@ -308,13 +302,6 @@ func (b *Balancer) PlanNodeInto(v int, view *sim.View, r *rng.RNG, moves []sim.M
 		}
 	}
 	spdV := view.Speed(v)
-	uniform := view.UniformSpeed()
-	// Friction is zero for every task when no dependency graph or affinity
-	// table is attached (or both couplings are off) — skip the per-task µs
-	// walk entirely in that common case. The arithmetic is unchanged: µs is
-	// the same 0.0 the full computation would return.
-	hasFriction := (view.TaskGraph() != nil && b.cfg.CsT != 0) ||
-		(view.Resources() != nil && b.cfg.CsR != 0)
 
 	// Projected height of v after the departures already planned this tick.
 	hv := view.Height(v)
@@ -336,11 +323,7 @@ func (b *Balancer) PlanNodeInto(v int, view *sim.View, r *rng.RNG, moves []sim.M
 			id := st.ID(h)
 			flag := st.Flag(h)
 			prev := st.Prev(h)
-			muSv := 0.0
-			if hasFriction {
-				muSv = b.muS(view, id, v)
-			}
-			muK := b.cfg.Ck0 + b.cfg.CkProp*muSv
+			muK := b.MuK(view, id, v)
 			cand := sc.cand[:0]
 			scores := sc.scores[:0]
 			for k, j := range neighbors {
@@ -367,13 +350,8 @@ func (b *Balancer) PlanNodeInto(v int, view *sim.View, r *rng.RNG, moves []sim.M
 			})
 			used[k] = true
 			load := st.Load(h)
-			if uniform {
-				hv -= load
-				hn[k] += load
-			} else {
-				hv -= load / spdV
-				hn[k] += load / spd[k]
-			}
+			hv -= load / spdV
+			hn[k] += load / spd[k]
 		}
 	}
 
@@ -391,47 +369,27 @@ func (b *Balancer) PlanNodeInto(v int, view *sim.View, r *rng.RNG, moves []sim.M
 		}
 		id := sc.keys[i].id
 		load := sc.keys[i].load
-		muS := 0.0
-		if hasFriction {
-			muS = b.muS(view, id, v)
-		}
+		muS := b.MuS(view, id, v)
 		muK := b.cfg.Ck0 + b.cfg.CkProp*muS
 		cand := sc.cand[:0]
 		scores := sc.scores[:0]
 		// The −2l correction generalised to heterogeneous speeds: moving
 		// load L lowers the source surface by L/s_i and raises the
 		// destination by L/s_j (both equal L on homogeneous systems, where
-		// the divisions by 1.0 are dropped without changing a single bit).
-		if uniform {
-			adj := load + load
+		// division by 1.0 is exact).
+		srcDrop := load / spdV
+		for k := range neighbors {
+			if used[k] || busy[k] {
+				continue
+			}
+			adj := srcDrop + load/spd[k]
 			if b.cfg.DisableTransferAdjustment {
 				adj = 0
 			}
-			for k := range neighbors {
-				if used[k] || busy[k] {
-					continue
-				}
-				tanBeta := (hv - hn[k] - adj) / cost[k]
-				if tanBeta > muS {
-					cand = append(cand, k)
-					scores = append(scores, tanBeta-muS)
-				}
-			}
-		} else {
-			srcDrop := load / spdV
-			for k := range neighbors {
-				if used[k] || busy[k] {
-					continue
-				}
-				adj := srcDrop + load/spd[k]
-				if b.cfg.DisableTransferAdjustment {
-					adj = 0
-				}
-				tanBeta := (hv - hn[k] - adj) / cost[k]
-				if tanBeta > muS {
-					cand = append(cand, k)
-					scores = append(scores, tanBeta-muS)
-				}
+			tanBeta := (hv - hn[k] - adj) / cost[k]
+			if tanBeta > muS {
+				cand = append(cand, k)
+				scores = append(scores, tanBeta-muS)
 			}
 		}
 		sc.cand, sc.scores = cand, scores
@@ -448,13 +406,8 @@ func (b *Balancer) PlanNodeInto(v int, view *sim.View, r *rng.RNG, moves []sim.M
 			NewFlag: newFlag, Moving: !b.cfg.DisableInertia,
 		})
 		used[k] = true
-		if uniform {
-			hv -= load
-			hn[k] += load
-		} else {
-			hv -= load / spdV
-			hn[k] += load / spd[k]
-		}
+		hv -= load / spdV
+		hn[k] += load / spd[k]
 	}
 	return moves
 }
@@ -501,25 +454,27 @@ func byLoadDescKeys(dst []loadKey, tasks []taskmodel.Handle, st *taskmodel.Store
 }
 
 // FeasibleStationary reports whether the paper's stationary criterion allows
-// moving task t from i to j given the current view, and returns the adjusted
+// moving task h from i to j given the current view, and returns the adjusted
 // gradient. Exposed for tests and the experiment harness.
-func (b *Balancer) FeasibleStationary(view *sim.View, t *taskmodel.Task, i, j int) (float64, bool) {
+func (b *Balancer) FeasibleStationary(view *sim.View, h taskmodel.Handle, i, j int) (float64, bool) {
+	st := view.TaskStore()
+	load := st.Load(h)
 	e := b.linkCost(view, i, j)
-	adjust := t.Load/view.Speed(i) + t.Load/view.Speed(j)
+	adjust := load/view.Speed(i) + load/view.Speed(j)
 	tanBeta := (view.Height(i) - view.Height(j) - adjust) / e
-	return tanBeta, tanBeta > b.MuS(view, t, i)
+	return tanBeta, tanBeta > b.MuS(view, st.ID(h), i)
 }
 
-// FeasibleMoving reports whether the in-motion criterion allows task t
+// FeasibleMoving reports whether the in-motion criterion allows task h
 // (resident on i with flag h*) to continue to j, returning the score a_j.
-func (b *Balancer) FeasibleMoving(view *sim.View, t *taskmodel.Task, i, j int) (float64, bool) {
-	a := t.Flag - b.MuK(view, t, i)*b.linkCost(view, i, j) - view.Height(j)
+func (b *Balancer) FeasibleMoving(view *sim.View, h taskmodel.Handle, i, j int) (float64, bool) {
+	st := view.TaskStore()
+	a := st.Flag(h) - b.MuK(view, st.ID(h), i)*b.linkCost(view, i, j) - view.Height(j)
 	return a, a > 0
 }
 
 // ensure interface compliance
 var (
 	_ sim.Policy           = (*Balancer)(nil)
-	_ sim.MovePlanner      = (*Balancer)(nil)
 	_ sim.LocalityDeclarer = (*Balancer)(nil)
 )

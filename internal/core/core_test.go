@@ -45,13 +45,13 @@ func TestStationaryCriterion(t *testing.T) {
 	})
 	view := e.State().View()
 	b := New(greedyCfg())
-	task := e.State().Queue(0).Tasks()[0] // load 4 on node 0 (h=8)
+	task := e.State().Queue(0).Handles()[0] // load 4 on node 0 (h=8)
 	// Towards node 1 (h=0): (8-0-8)/1 = 0, not > 0 → infeasible for the
 	// 4-load; but feasibility is per task size.
 	if tb, ok := b.FeasibleStationary(view, task, 0, 1); ok || tb != 0 {
 		t.Fatalf("4-load move should be border-infeasible: tb=%v ok=%v", tb, ok)
 	}
-	small := taskmodel.New(99, 1, 0, 0)
+	small := e.State().TaskStore().Create(99, 1, 0, 0) // not enqueued: h stays 8
 	if tb, ok := b.FeasibleStationary(view, small, 0, 1); !ok || tb != 6 {
 		t.Fatalf("1-load move should be feasible with tb=6: tb=%v ok=%v", tb, ok)
 	}
@@ -68,25 +68,25 @@ func TestMuSFromDependenciesAndResources(t *testing.T) {
 	})
 	view := e.State().View()
 	b := New(greedyCfg())
-	t0 := e.State().Queue(0).Tasks()[0]
-	t1 := e.State().Queue(0).Tasks()[1]
+	st := e.State().TaskStore()
+	t0 := st.ID(e.State().Queue(0).Handles()[0])
+	t1 := st.ID(e.State().Queue(0).Handles()[1])
 
 	if b.MuS(view, t0, 0) != 0 {
 		t.Fatal("no deps → µs = 0")
 	}
-	tg.SetDep(t0.ID, t1.ID, 2.5) // co-located dependency
+	tg.SetDep(t0, t1, 2.5) // co-located dependency
 	if got := b.MuS(view, t0, 0); got != 2.5 {
 		t.Fatalf("µs with co-located dep = %v, want 2.5", got)
 	}
-	res.SetAffinity(t0.ID, 0, 1.5)
+	res.SetAffinity(t0, 0, 1.5)
 	if got := b.MuS(view, t0, 0); got != 4 {
 		t.Fatalf("µs with dep+resource = %v, want 4", got)
 	}
 	// Dependency to a task on ANOTHER node does not pin the task here.
-	st := e.State().TaskStore()
 	h2 := st.Create(1000, 1, 2, 0)
 	e.State().Queue(2).Add(h2)
-	tg.SetDep(t0.ID, st.ID(h2), 10)
+	tg.SetDep(t0, st.ID(h2), 10)
 	if got := b.MuS(view, t0, 0); got != 4 {
 		t.Fatalf("remote dependency must not add to µs: %v", got)
 	}
@@ -212,8 +212,9 @@ func TestDependencyPinsTask(t *testing.T) {
 	})
 	// Huge mutual dependency: both tasks pinned to wherever they are
 	// co-located (µs = 100 each ≫ any achievable gradient).
-	ts := e.State().Queue(0).Tasks()
-	tg.SetDep(ts[0].ID, ts[1].ID, 100)
+	st := e.State().TaskStore()
+	ts := e.State().Queue(0).Handles()
+	tg.SetDep(st.ID(ts[0]), st.ID(ts[1]), 100)
 	e.Run(100)
 	s := e.State()
 	if s.Counters().Migrations != 0 {
@@ -232,8 +233,8 @@ func TestResourceAffinityPinsTask(t *testing.T) {
 		Initial:   [][]float64{{3}, {}, {}, {}},
 		Resources: res,
 	})
-	task := e.State().Queue(0).Tasks()[0]
-	res.SetAffinity(task.ID, 0, 50)
+	task := e.State().TaskStore().ID(e.State().Queue(0).Handles()[0])
+	res.SetAffinity(task, 0, 50)
 	e.Run(50)
 	if e.State().Counters().Migrations != 0 {
 		t.Fatal("resource-pinned task must not move")
@@ -248,10 +249,11 @@ func TestInertiaTravelsMultiHop(t *testing.T) {
 	init[0] = unitTasks(24)
 	e := engine(t, sim.Config{Graph: g, Policy: New(greedyCfg()), Seed: 1, Initial: init})
 	e.Run(300)
+	st := e.State().TaskStore()
 	multiHop := 0
 	for v := 0; v < g.N(); v++ {
-		for _, task := range e.State().Queue(v).Tasks() {
-			if task.Hops > 1 {
+		for _, task := range e.State().Queue(v).Handles() {
+			if st.Hops(task) > 1 {
 				multiHop++
 			}
 		}
@@ -274,11 +276,12 @@ func TestDisableInertiaStopsMultiHopMomentum(t *testing.T) {
 		if c.Migrations == 0 {
 			return 0
 		}
+		st := e.State().TaskStore()
 		totalHops := 0
 		tasks := 0
 		for v := 0; v < g.N(); v++ {
-			for _, task := range e.State().Queue(v).Tasks() {
-				totalHops += task.Hops
+			for _, task := range e.State().Queue(v).Handles() {
+				totalHops += st.Hops(task)
 				tasks++
 			}
 		}
@@ -331,10 +334,11 @@ func TestFlagDecreasesAlongChain(t *testing.T) {
 	// Any task that has hopped k>0 times must carry flag <= initial height
 	// minus k * (µk * min link cost) ... we check the weaker invariant that
 	// flags of travelled tasks are below the hotspot height.
+	st := e.State().TaskStore()
 	for v := 0; v < g.N(); v++ {
-		for _, task := range e.State().Queue(v).Tasks() {
-			if task.Hops > 0 && task.Flag >= 16 {
-				t.Fatalf("flag %v did not pay friction over %d hops", task.Flag, task.Hops)
+		for _, task := range e.State().Queue(v).Handles() {
+			if st.Hops(task) > 0 && st.Flag(task) >= 16 {
+				t.Fatalf("flag %v did not pay friction over %d hops", st.Flag(task), st.Hops(task))
 			}
 		}
 	}
@@ -379,7 +383,7 @@ func TestFaultObliviousIgnoresFaultCost(t *testing.T) {
 	oblivious := New(obliviousCfg)
 
 	// The light task: (4 − 0 − 2)/e = 2/e, nonzero so the costs differ.
-	task := e.State().Queue(0).Tasks()[1]
+	task := e.State().Queue(0).Handles()[1]
 	tbAware, _ := aware.FeasibleStationary(view, task, 0, 1)
 	tbObl, _ := oblivious.FeasibleStationary(view, task, 0, 1)
 	if !(tbObl > tbAware) {
@@ -477,7 +481,7 @@ func TestHeterogeneousEquilibrium(t *testing.T) {
 	}
 }
 
-func TestByLoadDescOrdering(t *testing.T) {
+func TestHeaviestFirstKeysOrdering(t *testing.T) {
 	st := taskmodel.NewStore()
 	tasks := []taskmodel.Handle{
 		st.Create(3, 1, 0, 0),
@@ -490,7 +494,7 @@ func TestByLoadDescOrdering(t *testing.T) {
 	}
 	// Input untouched.
 	if st.ID(tasks[0]) != 3 {
-		t.Fatal("byLoadDesc must not mutate input")
+		t.Fatal("byLoadDescKeys must not mutate input")
 	}
 }
 

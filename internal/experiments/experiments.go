@@ -217,10 +217,11 @@ func run(spec runSpec, cfg sim.Config) runResult {
 
 // meanHops returns the average hop count over all resident tasks.
 func meanHops(s *sim.State) float64 {
+	st := s.TaskStore()
 	total, count := 0, 0
 	for v := 0; v < s.Graph().N(); v++ {
-		for _, t := range s.Queue(v).Tasks() {
-			total += t.Hops
+		for _, h := range s.Queue(v).Handles() {
+			total += st.Hops(h)
 			count++
 		}
 	}

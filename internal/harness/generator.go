@@ -349,9 +349,7 @@ func Generate(spec Spec) *Scenario {
 		sc.Resources = workload.PinnedResources(sc.Initial, 0.5, depW, depSeed)
 	}
 
-	// Arrival process and service. Burst sizes straddle the engine's
-	// arrival fan-out threshold so both injection paths get exercised.
-	// Every parameter is drawn unconditionally BEFORE the NoArrivals tweak
+	// Arrival process and service. Every parameter is drawn unconditionally BEFORE the NoArrivals tweak
 	// applies (mirroring the fault draws above): tweaks must consume no
 	// randomness, or disabling arrivals would shift the service-rate draws
 	// and silently change a second scenario dimension under shrinking.

@@ -78,6 +78,7 @@ type queueSanity struct{}
 func (queueSanity) Name() string { return "queue-sanity" }
 
 func (queueSanity) Check(s *sim.State) string {
+	st := s.TaskStore()
 	for v := 0; v < s.Graph().N(); v++ {
 		q := s.Queue(v)
 		total := q.Total()
@@ -85,11 +86,12 @@ func (queueSanity) Check(s *sim.State) string {
 			return fmt.Sprintf("node %d cached total %g", v, total)
 		}
 		scan := 0.0
-		for _, t := range q.Tasks() {
-			if !(t.Load > 0) {
-				return fmt.Sprintf("node %d task %d has load %g", v, t.ID, t.Load)
+		for _, h := range q.Handles() {
+			load := st.Load(h)
+			if !(load > 0) {
+				return fmt.Sprintf("node %d task %d has load %g", v, st.ID(h), load)
 			}
-			scan += t.Load
+			scan += load
 		}
 		if d := math.Abs(scan - total); d > conservationTol(scan) {
 			return fmt.Sprintf("node %d cached total %g but task scan %g", v, total, scan)

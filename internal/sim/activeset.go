@@ -5,22 +5,23 @@ import (
 	"sync/atomic"
 )
 
-// Locality declares how much simulation state a policy's PlanNode consults,
-// which is what makes incremental re-planning sound: the engine may skip a
-// node only when it can prove the node's plan would come out the same.
+// Locality declares how much simulation state a policy's PlanNodeInto
+// consults, which is what makes incremental re-planning sound: the engine
+// may skip a node only when it can prove the node's plan would come out the
+// same.
 type Locality int
 
 const (
-	// LocalityGlobal means PlanNode may read arbitrary state — far-away
+	// LocalityGlobal means PlanNodeInto may read arbitrary state — far-away
 	// loads, the tick number, mutable policy internals — so no local change
 	// tracking can prove a plan stale and every node re-plans every tick.
 	LocalityGlobal Locality = iota
 
 	// LocalityNeighborhood is the contract of the paper's particle balancer:
-	// whenever PlanNode(v) returns no moves, that outcome is a pure function
-	// of v's neighbourhood — v's own tasks (loads and task fields), the
-	// heights of v's neighbours, the busy flags of v's incident links — plus
-	// static configuration (topology, link parameters, speeds, dependency and
+	// whenever PlanNodeInto(v) returns no moves, that outcome is a pure
+	// function of v's neighbourhood — v's own tasks (loads and task fields),
+	// the heights of v's neighbours, the busy flags of v's incident links —
+	// plus static configuration (topology, link parameters, speeds, dependency and
 	// resource matrices). It must not depend on the tick number, on
 	// randomness, on InFlightTo, or on mutable policy-internal state. The
 	// contract constrains only the *empty* outcome: a node that proposes

@@ -24,13 +24,13 @@ type localSlide struct{}
 func (localSlide) Name() string           { return "local-slide" }
 func (localSlide) PlanLocality() Locality { return LocalityNeighborhood }
 
-func (localSlide) PlanNode(v int, view *View, _ *rng.RNG) []Move {
-	tasks := view.Tasks(v)
+func (localSlide) PlanNodeInto(v int, view *View, _ *rng.RNG, out []Move) []Move {
+	tasks := view.TaskHandles(v)
 	if len(tasks) == 0 {
-		return nil
+		return out
 	}
+	st := view.TaskStore()
 	h := view.Height(v)
-	var out []Move
 	i := 0
 	for _, j := range view.Graph().Neighbors(v) {
 		if i >= len(tasks) {
@@ -40,13 +40,13 @@ func (localSlide) PlanNode(v int, view *View, _ *rng.RNG) []Move {
 			continue
 		}
 		t := tasks[i]
-		out = append(out, Move{TaskID: t.ID, From: v, To: j, NewFlag: h, Moving: t.Load > 0.5})
+		out = append(out, Move{TaskID: st.ID(t), From: v, To: j, NewFlag: h, Moving: st.Load(t) > 0.5})
 		i++
 	}
 	return out
 }
 
-// countingPolicy wraps a policy and counts PlanNode invocations, to prove
+// countingPolicy wraps a policy and counts planning invocations, to prove
 // converged nodes stop being planned at all.
 type countingPolicy struct {
 	inner interface {
@@ -58,9 +58,9 @@ type countingPolicy struct {
 
 func (c *countingPolicy) Name() string           { return c.inner.Name() }
 func (c *countingPolicy) PlanLocality() Locality { return c.inner.PlanLocality() }
-func (c *countingPolicy) PlanNode(v int, view *View, r *rng.RNG) []Move {
+func (c *countingPolicy) PlanNodeInto(v int, view *View, r *rng.RNG, buf []Move) []Move {
 	c.calls.Add(1)
-	return c.inner.PlanNode(v, view, r)
+	return c.inner.PlanNodeInto(v, view, r, buf)
 }
 
 // stepCompare runs cfg with the active set against the identical full-sweep
@@ -197,7 +197,7 @@ func TestActiveSetParallelIdentity(t *testing.T) {
 
 // TestActiveSetDrains is the point of the whole pipeline: once a quiescent
 // system converges, the active set empties, planning stops entirely, and
-// further ticks neither call PlanNode nor move any load.
+// further ticks neither call PlanNodeInto nor move any load.
 func TestActiveSetDrains(t *testing.T) {
 	p := &countingPolicy{inner: localGreedy{}}
 	e, err := New(Config{
@@ -217,7 +217,7 @@ func TestActiveSetDrains(t *testing.T) {
 	loads := e.State().Loads()
 	e.Run(100)
 	if got := p.calls.Load(); got != calls {
-		t.Fatalf("PlanNode ran %d more times after the active set drained", got-calls)
+		t.Fatalf("PlanNodeInto ran %d more times after the active set drained", got-calls)
 	}
 	for v, l := range e.State().Loads() {
 		if l != loads[v] {

@@ -124,10 +124,8 @@ func (e *Engine) Reconfigure(rc Reconfig) error {
 		if len(rc.Speeds) != n {
 			return fmt.Errorf("sim: Reconfig.Speeds has %d entries for %d nodes", len(rc.Speeds), n)
 		}
-		for v, sp := range rc.Speeds {
-			if sp <= 0 {
-				return fmt.Errorf("sim: non-positive speed %v at node %d", sp, v)
-			}
+		if err := checkSpeeds(rc.Speeds); err != nil {
+			return err
 		}
 		speeds = rc.Speeds
 	case speeds != nil && n > oldN:
@@ -226,10 +224,6 @@ func (e *Engine) Reconfigure(rc Reconfig) error {
 	e.cfg.Speeds = speeds
 	if rc.Policy != nil {
 		e.cfg.Policy = rc.Policy
-		e.planInto = nil
-		if mp, ok := rc.Policy.(MovePlanner); ok {
-			e.planInto = mp
-		}
 	}
 	for k := 0; k <= numShards; k++ {
 		s.shardLo[k] = k * n / numShards

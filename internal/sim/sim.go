@@ -86,25 +86,18 @@ func NaNFlag() float64 { return math.NaN() }
 type Policy interface {
 	Name() string
 
-	// PlanNode returns the moves node v proposes this tick. It is called
-	// once per node per tick, possibly concurrently; implementations must
-	// treat the view as read-only and draw randomness only from r, which is
-	// an independent deterministic stream per (node, tick).
-	PlanNode(v int, view *View, r *rng.RNG) []Move
-}
-
-// MovePlanner is an optional Policy extension for allocation-free planning:
-// PlanNodeInto appends node v's proposals to buf — the engine passes each
-// node's persistent plan buffer, truncated to length 0 — and returns it
-// (possibly regrown). Implementations must propose exactly the moves
-// PlanNode would; the engine prefers this path, so a policy implementing it
-// allocates no move slice in steady state.
-type MovePlanner interface {
+	// PlanNodeInto appends the moves node v proposes this tick to buf and
+	// returns it (possibly regrown). The engine passes each node's
+	// persistent plan buffer, truncated to length 0, so a policy that only
+	// appends allocates nothing in steady state. It is called once per node
+	// per tick, possibly concurrently; implementations must treat the view
+	// as read-only and draw randomness only from r, which is an independent
+	// deterministic stream per (node, tick).
 	PlanNodeInto(v int, view *View, r *rng.RNG, buf []Move) []Move
 }
 
 // TickPreparer is an optional Policy extension: PrepareTick runs once per
-// tick, sequentially, before the PlanNode fan-out. Global-relaxation
+// tick, sequentially, before the planning fan-out. Global-relaxation
 // policies (the GM gradient map) use it to refresh shared per-tick state.
 type TickPreparer interface {
 	PrepareTick(view *View)
@@ -133,7 +126,8 @@ type Counters struct {
 	TasksCompleted int64
 
 	// Topology-reconfiguration accounting (bumped only in Reconfigure,
-	// which is single-threaded — the per-shard partials never touch these).
+	// which is single-threaded — the per-shard partials never touch these,
+	// so add does not fold them).
 	Reconfigs         int64 // topology epochs applied to this engine
 	DrainedTasks      int64 // tasks redistributed off dead nodes
 	RecalledTransfers int64 // in-flight transfers recalled from removed links
@@ -152,9 +146,6 @@ func (c *Counters) add(d Counters) {
 	c.Injected += d.Injected
 	c.Consumed += d.Consumed
 	c.TasksCompleted += d.TasksCompleted
-	c.Reconfigs += d.Reconfigs
-	c.DrainedTasks += d.DrainedTasks
-	c.RecalledTransfers += d.RecalledTransfers
 }
 
 // State is the full mutable simulation state. Policies receive it wrapped in
@@ -315,11 +306,6 @@ func (v *View) Load(n int) float64 { return v.s.queues[n].Total() }
 // Speed returns the processing speed of node n (1 for homogeneous systems).
 func (v *View) Speed(n int) float64 { return v.s.Speed(n) }
 
-// UniformSpeed reports whether every node runs at speed 1 (no Speeds were
-// configured), letting policies skip per-node speed divisions — division by
-// 1.0 is exact, so a uniform fast path is bit-identical to the general one.
-func (v *View) UniformSpeed() bool { return v.s.speeds == nil }
-
 // Height returns h(v) — the height of the load surface at node n. On a
 // homogeneous system this is the raw load; with heterogeneous speeds it is
 // load/speed, the *time to drain* the node, which is the quantity a
@@ -331,11 +317,6 @@ func (v *View) Height(n int) float64 { return v.s.Height(n) }
 // Heights materialises the full height vector.
 func (v *View) Heights() []float64 { return v.s.Heights() }
 
-// Tasks materialises snapshots of the tasks resident at node n, in canonical
-// insertion order. Allocates per call — the compatibility view for examples,
-// tests and metrics; hot policies use TaskHandles with the store lanes.
-func (v *View) Tasks(n int) []*taskmodel.Task { return v.s.queues[n].Tasks() }
-
 // TaskHandles returns the handles of the tasks resident at node n, in
 // canonical insertion order. Read-only and allocation-free; field access
 // goes through TaskStore.
@@ -343,11 +324,6 @@ func (v *View) TaskHandles(n int) []taskmodel.Handle { return v.s.queues[n].Hand
 
 // TaskStore returns the arena holding every task's fields.
 func (v *View) TaskStore() *taskmodel.Store { return v.s.tasks }
-
-// HasTask reports whether the task with the given id is resident at node n.
-// This is the read-only membership accessor that replaced the shared-mutable
-// TaskIDSet escape hatch.
-func (v *View) HasTask(n int, id taskmodel.ID) bool { return v.s.queues[n].Has(id) }
 
 // DepWeightToNode returns the summed dependency weight from task id to the
 // tasks co-located at node n — the Σ T term of the µs computation — using
@@ -515,11 +491,12 @@ type Config struct {
 	// and consumes ServiceRate·s load per tick.
 	Speeds []float64
 
-	// Workers > 1 runs the whole tick pipeline (planning, move application,
-	// transfer advancement, service, arrival injection) on a fused worker
-	// loop of Workers participants (the calling goroutine plus Workers-1
-	// pool goroutines). Results are bit-identical to the sequential engine
-	// for every worker count, including odd, non-shard-dividing ones.
+	// Workers > 1 runs the tick pipeline (planning, move application,
+	// transfer advancement, service; arrivals are injected inline) on a
+	// fused worker loop of Workers participants (the calling goroutine plus
+	// Workers-1 pool goroutines). Results are bit-identical to the
+	// sequential engine for every worker count, including odd,
+	// non-shard-dividing ones.
 	Workers int
 
 	// SerialCutover tunes the adaptive serial cutover of the parallel
@@ -544,12 +521,6 @@ type Config struct {
 	// OnTick observes the state after each completed tick.
 	OnTick func(*State)
 }
-
-// arrivalFanOut is the arrival count above which injection is worth fanning
-// out across the node shards instead of running inline. Both paths produce
-// identical state (task ids and the Injected counter are assigned
-// sequentially either way), so the threshold is a pure heuristic.
-const arrivalFanOut = 64
 
 // DefaultSerialCutover is the tick-work estimate (in work units: one node
 // planned, one transfer advanced, one arrival injected, one resident task
@@ -589,13 +560,8 @@ type Engine struct {
 	// Per-shard per-tick scratch (outboxes + partial reductions).
 	parts [numShards]shardPart
 
-	// planInto is the policy's allocation-free planning face, nil when the
-	// policy only implements PlanNode.
-	planInto MovePlanner
-
-	movingNext   []movingRec                   // scratch for rebuilding movingResident
-	arrShard     [numShards][]taskmodel.Handle // arrival batch bucketed by owning shard
-	hadTransfers bool                          // transfers existed when advancement began
+	movingNext   []movingRec // scratch for rebuilding movingResident
+	hadTransfers bool        // transfers existed when advancement began
 
 	// fanShards is the scratch list of shard ids behind the subset fan-outs
 	// (active planning shards, occupied service shards). Phases run
@@ -608,7 +574,7 @@ type Engine struct {
 	// to runtime.AddCleanup). The Sub variants run the i-th entry of
 	// fanShards instead of shard i, for the subset fan-outs.
 	runPlanFilter, runApply, runCommitMoves,
-	runAdvance, runCommitBounces, runInject,
+	runAdvance, runCommitBounces,
 	runPlanFilterSub, runServiceSub func(int, *rng.RNG)
 }
 
@@ -648,11 +614,19 @@ func New(cfg Config) (*Engine, error) {
 		if len(cfg.Speeds) != cfg.Graph.N() {
 			return nil, fmt.Errorf("sim: Speeds has %d entries for %d nodes", len(cfg.Speeds), cfg.Graph.N())
 		}
-		for v, sp := range cfg.Speeds {
-			if sp <= 0 {
-				return nil, fmt.Errorf("sim: non-positive speed %v at node %d", sp, v)
+		if err := checkSpeeds(cfg.Speeds); err != nil {
+			return nil, err
+		}
+	}
+	for v, sizes := range cfg.Initial {
+		for _, load := range sizes {
+			if math.IsNaN(load) || math.IsInf(load, 0) {
+				return nil, fmt.Errorf("sim: non-finite initial load %v at node %d", load, v)
 			}
 		}
+	}
+	if !(cfg.ServiceRate >= 0) || math.IsInf(cfg.ServiceRate, 1) {
+		return nil, fmt.Errorf("sim: ServiceRate %v is not finite and non-negative", cfg.ServiceRate)
 	}
 	n := cfg.Graph.N()
 	s := &State{
@@ -692,15 +666,11 @@ func New(cfg Config) (*Engine, error) {
 		planBuf:    make([][]Move, n),
 		planEdge:   make([][]int32, n),
 	}
-	if mp, ok := cfg.Policy.(MovePlanner); ok {
-		e.planInto = mp
-	}
 	e.runPlanFilter = e.planFilterShard
 	e.runApply = e.applyShard
 	e.runCommitMoves = e.commitMovesShard
 	e.runAdvance = e.advanceShard
 	e.runCommitBounces = e.commitBouncesShard
-	e.runInject = e.injectShard
 	e.runPlanFilterSub = func(i int, r *rng.RNG) { e.planFilterShard(e.fanShards[i], r) }
 	e.runServiceSub = func(i int, r *rng.RNG) { e.serviceShard(e.fanShards[i], r) }
 	// The active set is sound only for policies whose empty plans are pure
@@ -738,27 +708,32 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// createTask mints a task at node with the given load and books its
-// injection (id assignment and the Injected counter are always sequential);
-// queue placement is the caller's concern. Both arrival paths — inline and
-// sharded fan-out — go through here, so their accounting cannot drift apart.
-func (e *Engine) createTask(node int, load float64) taskmodel.Handle {
+// checkSpeeds rejects any speed that is not finite and positive: a NaN or
+// infinite speed would poison every height read at that node.
+func checkSpeeds(speeds []float64) error {
+	for v, sp := range speeds {
+		if !(sp > 0) || math.IsInf(sp, 1) {
+			return fmt.Errorf("sim: speed %v at node %d is not finite and positive", sp, v)
+		}
+	}
+	return nil
+}
+
+// inject mints a task at node with the given load, books its injection
+// (sequential id, Injected counter) and enqueues it. It is the one filter
+// every load passes on its way in: zero, negative and non-finite loads are
+// dropped before id assignment, so they never reach a queue's cached total.
+func (e *Engine) inject(node int, load float64) {
+	if !(load > 0) || math.IsInf(load, 1) {
+		return
+	}
 	s := e.state
 	h := s.tasks.Create(s.nextTaskID, load, node, s.tick)
 	s.nextTaskID++
 	s.counters.Injected += load
-	return h
-}
-
-func (e *Engine) inject(node int, load float64) taskmodel.Handle {
-	if load <= 0 {
-		return taskmodel.NoHandle
-	}
-	h := e.createTask(node, load)
-	e.state.queues[node].Add(h)
-	e.state.noteTaskAdded(node)
+	s.queues[node].Add(h)
+	s.noteTaskAdded(node)
 	e.markDirtyNeighborhood(node)
-	return h
 }
 
 // State exposes the simulation state (for metrics and tests).
@@ -811,10 +786,8 @@ func (e *Engine) tickWorkEstimate(arrivals int) int {
 func (e *Engine) Step() {
 	s := e.state
 
-	// 1. Workload arrivals. Task ids and the Injected counter are assigned
-	// sequentially; large batches fan the queue insertion out across the
-	// node shards (each shard places the arrivals it owns, in batch order,
-	// which yields exactly the sequential per-queue insertion order).
+	// 1. Workload arrivals, injected inline in batch order: task ids, the
+	// Injected counter and every queue's insertion order follow the batch.
 	//
 	// The adaptive serial cutover decides here — once per tick, after the
 	// arrival batch is known — whether the tick is worth waking the fused
@@ -826,26 +799,13 @@ func (e *Engine) Step() {
 		arr = e.cfg.Arrivals(s.tick, &e.arrScratch)
 	}
 	e.parTick = e.fused != nil && e.tickWorkEstimate(len(arr)) >= e.cutover
-	if len(arr) > 0 {
-		if e.parTick && len(arr) >= arrivalFanOut {
-			for _, a := range arr {
-				if a.Node < 0 || a.Node >= s.g.N() || !s.nodeAlive(a.Node) || a.Load <= 0 {
-					continue
-				}
-				k := s.nodeShard[a.Node]
-				e.arrShard[k] = append(e.arrShard[k], e.createTask(a.Node, a.Load))
-			}
-			e.fanOut(numShards, e.runInject)
-		} else {
-			// Arrivals addressed to departed nodes are dropped before id
-			// assignment and the Injected counter, so load conservation and
-			// the id sequence are unaffected by a workload generator that has
-			// not heard about a reconfiguration yet.
-			for _, a := range arr {
-				if a.Node >= 0 && a.Node < s.g.N() && s.nodeAlive(a.Node) {
-					e.inject(a.Node, a.Load)
-				}
-			}
+	// Arrivals addressed to departed nodes are dropped before id assignment
+	// and the Injected counter, so load conservation and the id sequence are
+	// unaffected by a workload generator that has not heard about a
+	// reconfiguration yet.
+	for _, a := range arr {
+		if a.Node >= 0 && a.Node < s.g.N() && s.nodeAlive(a.Node) {
+			e.inject(a.Node, a.Load)
 		}
 	}
 
@@ -1030,15 +990,10 @@ func (e *Engine) planFilterShard(k int, r *rng.RNG) {
 func (e *Engine) planNode(v int, p *shardPart, r *rng.RNG, tickBase uint64) {
 	s := e.state
 	e.planBase.SplitInto(tickBase+uint64(v), r)
-	var moves []Move
-	if e.planInto != nil {
-		// Allocation-free path: the node's persistent plan buffer (retired to
-		// length 0 after its last use) is handed to the policy for reuse.
-		moves = e.planInto.PlanNodeInto(v, s.View(), r, e.planBuf[v][:0])
-		e.planBuf[v] = moves[:0] // keep regrown capacity even on empty plans
-	} else {
-		moves = e.cfg.Policy.PlanNode(v, s.View(), r)
-	}
+	// The node's persistent plan buffer (retired to length 0 after its last
+	// use) is handed to the policy for reuse.
+	moves := e.cfg.Policy.PlanNodeInto(v, s.View(), r, e.planBuf[v][:0])
+	e.planBuf[v] = moves[:0] // keep regrown capacity even on empty plans
 	if len(moves) == 0 {
 		return
 	}
@@ -1356,21 +1311,6 @@ func (e *Engine) serviceShard(k int, _ *rng.RNG) {
 	if p.counters.Consumed != 0 || len(p.done) > 0 {
 		p.dirty = true
 	}
-}
-
-// injectShard places shard k's bucket of the pending arrival batch (filled
-// during the sequential id-assignment pass, preserving batch order per
-// queue) and retires the bucket.
-func (e *Engine) injectShard(k int, _ *rng.RNG) {
-	s := e.state
-	bucket := e.arrShard[k]
-	for _, h := range bucket {
-		v := s.tasks.Origin(h)
-		s.queues[v].Add(h)
-		s.noteTaskAdded(v)
-		e.markDirtyNeighborhood(v)
-	}
-	e.arrShard[k] = bucket[:0]
 }
 
 // reduce folds every shard partial into the global state in ascending shard

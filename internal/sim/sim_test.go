@@ -15,8 +15,10 @@ import (
 // nopPolicy never moves anything.
 type nopPolicy struct{}
 
-func (nopPolicy) Name() string                         { return "none" }
-func (nopPolicy) PlanNode(int, *View, *rng.RNG) []Move { return nil }
+func (nopPolicy) Name() string { return "none" }
+func (nopPolicy) PlanNodeInto(_ int, _ *View, _ *rng.RNG, buf []Move) []Move {
+	return buf
+}
 
 // greedyPolicy moves the largest resident task towards the least-loaded
 // neighbour whenever the neighbour is strictly lighter; used to exercise the
@@ -25,10 +27,10 @@ type greedyPolicy struct{}
 
 func (greedyPolicy) Name() string { return "test-greedy" }
 
-func (greedyPolicy) PlanNode(v int, view *View, _ *rng.RNG) []Move {
-	tasks := view.Tasks(v)
+func (greedyPolicy) PlanNodeInto(v int, view *View, _ *rng.RNG, buf []Move) []Move {
+	tasks := view.TaskHandles(v)
 	if len(tasks) == 0 {
-		return nil
+		return buf
 	}
 	best := -1
 	bestLoad := math.Inf(1)
@@ -41,18 +43,28 @@ func (greedyPolicy) PlanNode(v int, view *View, _ *rng.RNG) []Move {
 		}
 	}
 	if best < 0 {
-		return nil
+		return buf
 	}
-	var biggest *taskmodel.Task
-	for _, t := range tasks {
-		if biggest == nil || t.Load > biggest.Load {
-			biggest = t
+	st := view.TaskStore()
+	biggest := tasks[0]
+	for _, h := range tasks[1:] {
+		if st.Load(h) > st.Load(biggest) {
+			biggest = h
 		}
 	}
-	if view.Load(v)-biggest.Load <= bestLoad {
-		return nil // would overshoot
+	if view.Load(v)-st.Load(biggest) <= bestLoad {
+		return buf // would overshoot
 	}
-	return []Move{{TaskID: biggest.ID, From: v, To: best, NewFlag: NaNFlag()}}
+	return append(buf, Move{TaskID: st.ID(biggest), From: v, To: best, NewFlag: NaNFlag()})
+}
+
+// taskIDs returns the ids of the tasks resident at node n, in queue order.
+func taskIDs(view *View, n int) []taskmodel.ID {
+	var ids []taskmodel.ID
+	for _, h := range view.TaskHandles(n) {
+		ids = append(ids, view.TaskStore().ID(h))
+	}
+	return ids
 }
 
 func ringConfig(policy Policy, initial [][]float64) Config {
@@ -152,8 +164,7 @@ func TestMoveValidationRejectsBadMoves(t *testing.T) {
 		if v != 0 || view.Tick() != 0 {
 			return nil
 		}
-		tasks := view.Tasks(0)
-		id := tasks[0].ID
+		id := taskIDs(view, 0)[0]
 		return []Move{
 			{TaskID: id, From: 0, To: 2, NewFlag: NaNFlag()},  // not an edge in ring4
 			{TaskID: id, From: 0, To: 0, NewFlag: NaNFlag()},  // self loop
@@ -180,8 +191,10 @@ func TestMoveValidationRejectsBadMoves(t *testing.T) {
 // policyFunc adapts a function to Policy.
 type policyFunc func(v int, view *View, r *rng.RNG) []Move
 
-func (policyFunc) Name() string                                 { return "func" }
-func (f policyFunc) PlanNode(v int, w *View, r *rng.RNG) []Move { return f(v, w, r) }
+func (policyFunc) Name() string { return "func" }
+func (f policyFunc) PlanNodeInto(v int, w *View, r *rng.RNG, buf []Move) []Move {
+	return append(buf, f(v, w, r)...)
+}
 
 // Within one node, two proposals over the same link resolve to the lower
 // task id (canonical first-claimant-wins), and a proposal losing a contested
@@ -192,18 +205,18 @@ func TestIntraNodeLinkClaimCanonicalOrder(t *testing.T) {
 		if v != 0 || view.Tick() != 0 {
 			return nil
 		}
-		tasks := view.Tasks(0)
+		ids := taskIDs(view, 0)
 		// Propose in descending id order; the engine must still apply the
 		// lowest id.
 		return []Move{
-			{TaskID: tasks[1].ID, From: 0, To: 1, NewFlag: NaNFlag()},
-			{TaskID: tasks[0].ID, From: 0, To: 1, NewFlag: NaNFlag()},
+			{TaskID: ids[1], From: 0, To: 1, NewFlag: NaNFlag()},
+			{TaskID: ids[0], From: 0, To: 1, NewFlag: NaNFlag()},
 		}
 	})
 	e, _ := New(ringConfig(p, [][]float64{{2, 3}, {}, {}, {}}))
 	e.Run(1)
 	s := e.State()
-	if got := s.Queue(1).Tasks(); len(got) != 1 || got[0].ID != 0 {
+	if got := taskIDs(s.View(), 1); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("lowest task id must win the link, delivered %v", got)
 	}
 	if s.Counters().Rejected != 1 {
@@ -217,15 +230,15 @@ func TestOneTransferPerLinkPerTick(t *testing.T) {
 		if view.Tick() != 0 {
 			return nil
 		}
-		tasks := view.Tasks(v)
-		if len(tasks) == 0 {
+		ids := taskIDs(view, v)
+		if len(ids) == 0 {
 			return nil
 		}
 		to := 1 - v
 		if v > 1 {
 			return nil
 		}
-		return []Move{{TaskID: tasks[0].ID, From: v, To: to, NewFlag: NaNFlag()}}
+		return []Move{{TaskID: ids[0], From: v, To: to, NewFlag: NaNFlag()}}
 	})
 	e, _ := New(ringConfig(p, [][]float64{{1}, {1}, {}, {}}))
 	e.Run(1)
@@ -244,7 +257,7 @@ func TestTransferLatency(t *testing.T) {
 	links := linkmodel.New(g, linkmodel.WithUniformLength(3)) // latency 3
 	moveOnce := policyFunc(func(v int, view *View, r *rng.RNG) []Move {
 		if v == 0 && view.Tick() == 0 {
-			return []Move{{TaskID: view.Tasks(0)[0].ID, From: 0, To: 1, NewFlag: NaNFlag()}}
+			return []Move{{TaskID: taskIDs(view, 0)[0], From: 0, To: 1, NewFlag: NaNFlag()}}
 		}
 		return nil
 	})
@@ -273,27 +286,26 @@ func TestTransferLatency(t *testing.T) {
 func TestFlagWrittenOnDeparture(t *testing.T) {
 	p := policyFunc(func(v int, view *View, r *rng.RNG) []Move {
 		if v == 0 && view.Tick() == 0 {
-			return []Move{{TaskID: view.Tasks(0)[0].ID, From: 0, To: 1, NewFlag: 7.5, Moving: true}}
+			return []Move{{TaskID: taskIDs(view, 0)[0], From: 0, To: 1, NewFlag: 7.5, Moving: true}}
 		}
 		return nil
 	})
 	e, _ := New(ringConfig(p, [][]float64{{2}, {}, {}, {}}))
 	e.Run(1)
 	st := e.State().TaskStore()
-	task := e.State().Queue(1).Tasks()[0]
-	if task.Flag != 7.5 {
-		t.Fatalf("flag = %v, want 7.5", task.Flag)
+	h := e.State().Queue(1).Handles()[0]
+	if st.Flag(h) != 7.5 {
+		t.Fatalf("flag = %v, want 7.5", st.Flag(h))
 	}
-	if !task.Moving {
+	if !st.Moving(h) {
 		t.Fatal("task must arrive with inertia")
 	}
-	if task.Hops != 1 {
-		t.Fatalf("hops = %d", task.Hops)
+	if st.Hops(h) != 1 {
+		t.Fatalf("hops = %d", st.Hops(h))
 	}
-	// Next tick: policy doesn't move it again → it settles. Tasks() returns
-	// value snapshots, so re-read the live state through the store.
+	// Next tick: policy doesn't move it again → it settles.
 	e.Run(1)
-	if st.Moving(st.HandleOf(task.ID)) {
+	if st.Moving(h) {
 		t.Fatal("unmoved inertial task must settle")
 	}
 }
@@ -303,8 +315,8 @@ func TestFaultsBounceTasks(t *testing.T) {
 	links := linkmodel.New(g, linkmodel.WithUniformFault(0.95))
 	// Node 0 keeps trying to push its task to node 1.
 	p := policyFunc(func(v int, view *View, r *rng.RNG) []Move {
-		if v == 0 && len(view.Tasks(0)) > 0 && !view.LinkBusy(0, 1) {
-			return []Move{{TaskID: view.Tasks(0)[0].ID, From: 0, To: 1, NewFlag: NaNFlag()}}
+		if ids := taskIDs(view, 0); v == 0 && len(ids) > 0 && !view.LinkBusy(0, 1) {
+			return []Move{{TaskID: ids[0], From: 0, To: 1, NewFlag: NaNFlag()}}
 		}
 		return nil
 	})
@@ -447,14 +459,13 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// Arrival batches past the fan-out threshold take the sharded injection
-// path on parallel engines; it must be bit-identical to the sequential
-// inline loop (same task ids, same per-queue insertion order, same
+// Large arrival batches on parallel engines must be bit-identical to the
+// sequential engine (same task ids, same per-queue insertion order, same
 // Injected accounting), including out-of-range and non-positive arrivals.
 func TestLargeArrivalBatchParallelIdentical(t *testing.T) {
 	arr := func(tick int64, r *rng.RNG) []Arrival {
-		out := make([]Arrival, 0, 3*arrivalFanOut)
-		for i := 0; i < 3*arrivalFanOut; i++ {
+		out := make([]Arrival, 0, 192)
+		for i := 0; i < 192; i++ {
 			a := Arrival{Node: int((tick*7 + int64(i)*13) % 40), Load: 0.25 + float64(i%8)/8}
 			if i%17 == 0 {
 				a.Node = 99 // out of range, skipped

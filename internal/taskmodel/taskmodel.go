@@ -3,14 +3,12 @@
 //   - Store: a dense struct-of-arrays arena holding every task field
 //     (load l_{i,k}, the potential-height flag h* of §5.1, and the
 //     experiment bookkeeping) in parallel slices indexed by a stable Handle.
-//   - Task: the pointer-shaped snapshot view of one store slot, kept for
-//     examples and tests.
 //   - Graph ("T" in the paper): edge-weighted task-dependency graph; T_{i,j}
 //     is the communication weight between tasks i and j.
 //   - Resources ("R" in the paper, |L|x|V|): task-to-node resource affinity.
 //
 // The paper uses "task" and "load" interchangeably; so does this package —
-// a Task is a unit of load from the balancer's point of view.
+// a task is a unit of load from the balancer's point of view.
 //
 // # Arena memory model
 //
@@ -41,57 +39,6 @@ type Handle int32
 
 // NoHandle is the sentinel for "no task".
 const NoHandle Handle = -1
-
-// Task is one migratable unit of load (a "particle" of the physical model).
-// Inside the engine tasks live as Store lanes; this struct is the
-// materialised snapshot form returned by the compatibility accessors
-// (Queue.Tasks, Store.TaskAt) for examples and tests.
-type Task struct {
-	ID   ID
-	Load float64 // mass m of the particle = load quantity l_{i,k}
-
-	// Flag is the potential height h* of §5.1: the height of the highest
-	// point the particle can still reach given the energy dissipated so far.
-	// It is (re)initialised to the height of the node where a movement
-	// "game" starts and decremented by E_h/(m·g) per hop while in flight.
-	Flag float64
-
-	// Moving marks a task that is mid-slide (has inertia): it arrived on the
-	// current node last tick and may continue to a further node under the
-	// in-motion feasibility rule rather than the static one.
-	Moving bool
-
-	Origin int // node where the task entered the system
-	Prev   int // node the task last migrated from (-1 if none): the
-	// discrete momentum memory — a sliding task does not immediately
-	// backtrack, exactly like the physics particle
-	Hops  int   // number of link traversals so far
-	Birth int64 // tick at which the task entered the system
-	Done  int64 // tick at which the task finished service (-1 while live)
-
-	// MovedTick is the tick at which the task last departed a node (-1 if it
-	// never moved). Engine bookkeeping: the inertia settle rule ("a task that
-	// did not continue its slide comes to rest") needs to know whether a task
-	// moved in the current tick, and a per-task stamp is writable from the
-	// parallel apply fan-out without any shared set.
-	MovedTick int64
-}
-
-// New returns a stationary task snapshot with the given id, load and origin.
-func New(id ID, load float64, origin int, birth int64) *Task {
-	return &Task{ID: id, Load: load, Origin: origin, Prev: -1, Birth: birth, Done: -1, MovedTick: -1}
-}
-
-// Clone returns an independent copy of the task.
-func (t *Task) Clone() *Task {
-	c := *t
-	return &c
-}
-
-// String implements fmt.Stringer for debugging traces.
-func (t *Task) String() string {
-	return fmt.Sprintf("task(%d load=%.3g node-origin=%d hops=%d flag=%.3g)", t.ID, t.Load, t.Origin, t.Hops, t.Flag)
-}
 
 // Store is the task arena: parallel lanes indexed by Handle, an id→handle
 // index, and a free-list so slots recycle without garbage. The id index is a
@@ -205,19 +152,25 @@ func (s *Store) IDBound() ID { return ID(len(s.byID)) }
 // ID returns the task id in slot h (-1 when the slot is free).
 func (s *Store) ID(h Handle) ID { return s.id[h] }
 
-// Load returns the task's remaining load.
+// Load returns the task's remaining load: the particle's mass m, the load
+// quantity l_{i,k}.
 func (s *Store) Load(h Handle) float64 { return s.load[h] }
 
-// Flag returns the potential-height flag h*.
+// Flag returns the potential-height flag h* of §5.1: the highest point the
+// particle can still reach given the energy dissipated so far. It is set to
+// the node height where a movement "game" starts and lowered by E_h/(m·g)
+// per hop.
 func (s *Store) Flag(h Handle) float64 { return s.flag[h] }
 
-// Moving reports whether the task is mid-slide.
+// Moving reports whether the task is mid-slide (has inertia): it arrived last
+// tick and may continue under the in-motion rule rather than the static one.
 func (s *Store) Moving(h Handle) bool { return s.moving[h] }
 
 // Origin returns the node where the task entered the system.
 func (s *Store) Origin(h Handle) int { return int(s.origin[h]) }
 
-// Prev returns the node the task last migrated from (-1 if none).
+// Prev returns the node the task last migrated from (-1 if none): the
+// discrete momentum memory that keeps a sliding task from backtracking.
 func (s *Store) Prev(h Handle) int { return int(s.prev[h]) }
 
 // Node returns the node whose queue the task sits in (-1 while in flight).
@@ -237,6 +190,9 @@ func (s *Store) Birth(h Handle) int64 { return s.birth[h] }
 func (s *Store) Done(h Handle) int64 { return s.done[h] }
 
 // MovedTick returns the tick the task last departed a node (-1 if never).
+// The engine's inertia settle rule reads it to tell whether a task continued
+// its slide this tick; a per-task stamp is writable from the parallel apply
+// phase without any shared set.
 func (s *Store) MovedTick(h Handle) int64 { return s.movedTick[h] }
 
 // SetLoad overwrites the task's remaining load.
@@ -365,16 +321,6 @@ func (s *Store) RestoreSnapshot(slots []SlotState, free []Handle, idBound ID) er
 		return fmt.Errorf("taskmodel: restore: %d live + %d free != %d slots", s.live, len(s.free), n)
 	}
 	return nil
-}
-
-// TaskAt materialises a snapshot of slot h. Mutating the snapshot does not
-// touch the store.
-func (s *Store) TaskAt(h Handle) Task {
-	return Task{
-		ID: s.id[h], Load: s.load[h], Flag: s.flag[h], Moving: s.moving[h],
-		Origin: int(s.origin[h]), Prev: int(s.prev[h]), Hops: int(s.hops[h]),
-		Birth: s.birth[h], Done: s.done[h], MovedTick: s.movedTick[h],
-	}
 }
 
 // Graph is the task-dependency graph T: Weight(a,b) is the communication
@@ -565,33 +511,6 @@ func (g *Graph) TotalWeight(a ID) float64 {
 		return 0
 	}
 	return g.rowSum[r]
-}
-
-// WeightToSorted returns the summed dependency weight from a to the given
-// ascending-sorted ids, by merge-walking the CSR row against the slice.
-// This is the set-valued µs read without a throwaway map: callers hand a
-// sorted id slice (both sides ascend, so the walk is linear).
-func (g *Graph) WeightToSorted(a ID, sorted []ID) float64 {
-	if g == nil || g.w == nil || len(sorted) == 0 {
-		return 0
-	}
-	g.ensure()
-	cols, wts := g.row(a)
-	s := 0.0
-	i, j := 0, 0
-	for i < len(cols) && j < len(sorted) {
-		switch {
-		case cols[i] < sorted[j]:
-			i++
-		case cols[i] > sorted[j]:
-			j++
-		default:
-			s += wts[i]
-			i++
-			j++
-		}
-	}
-	return s
 }
 
 // WeightToQueue returns the summed dependency weight from a to tasks
@@ -836,19 +755,6 @@ func (q *Queue) Total() float64 { return q.total }
 // shared; callers must not modify it.
 func (q *Queue) Handles() []Handle { return q.buf[q.head:] }
 
-// Tasks materialises snapshots of the resident tasks in insertion order —
-// the pointer-shaped compatibility view for examples and tests. Allocates;
-// hot paths use Handles and the store lanes.
-func (q *Queue) Tasks() []*Task {
-	hs := q.Handles()
-	out := make([]*Task, len(hs))
-	for i, h := range hs {
-		t := q.st.TaskAt(h)
-		out[i] = &t
-	}
-	return out
-}
-
 // compact drops the consumed prefix so buf does not grow without bound.
 func (q *Queue) compact() {
 	if q.head == 0 {
@@ -878,33 +784,13 @@ func (q *Queue) Restore(handles []Handle, total float64) {
 	q.total = total
 }
 
-// ByLoadDesc returns resident task snapshots sorted by descending load
-// (stable on id for determinism). The paper moves the "choicest" object
-// first; experiments and tests use largest-first order.
-func (q *Queue) ByLoadDesc() []*Task {
-	out := q.Tasks()
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Load != out[j].Load {
-			return out[i].Load > out[j].Load
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
-// ConsumeService removes up to amount of load from the queue front (FIFO),
-// completing tasks whose load is fully consumed, and returns the completed
-// tasks' handles and the load actually consumed. Partial consumption reduces
-// a task's remaining load in place. This models node service capacity in the
-// non-quiescent experiments.
-func (q *Queue) ConsumeService(amount float64, now int64) ([]Handle, float64) {
-	return q.ConsumeServiceInto(amount, now, nil)
-}
-
-// ConsumeServiceInto is ConsumeService appending completed handles to done
-// (which may be nil or a reused batch buffer) instead of allocating a fresh
-// slice — the batch form the engine's sharded service phase uses to stay
-// allocation-free while draining a whole shard of queues into one buffer.
+// ConsumeServiceInto removes up to amount of load from the queue front
+// (FIFO), completing tasks whose load is fully consumed, and returns done
+// with the completed tasks' handles appended plus the load actually
+// consumed. Partial consumption reduces a task's remaining load in place.
+// This models node service capacity in the non-quiescent experiments. done
+// may be nil or a reused batch buffer: the engine's sharded service phase
+// drains a whole shard of queues into one buffer without allocating.
 // Completed tasks leave the queue (node/slot lanes cleared) but stay alive
 // in the store until the caller releases them.
 func (q *Queue) ConsumeServiceInto(amount float64, now int64, done []Handle) ([]Handle, float64) {

@@ -9,24 +9,19 @@ import (
 )
 
 func TestNewTask(t *testing.T) {
-	task := New(7, 2.5, 3, 11)
-	if task.ID != 7 || task.Load != 2.5 || task.Origin != 3 || task.Birth != 11 {
-		t.Fatalf("bad task: %+v", task)
+	st := NewStore()
+	h := st.Create(7, 2.5, 3, 11)
+	if st.ID(h) != 7 || st.Load(h) != 2.5 || st.Origin(h) != 3 || st.Birth(h) != 11 {
+		t.Fatalf("bad task: %+v", st.SlotStateAt(h))
 	}
-	if task.Done != -1 {
+	if st.Done(h) != -1 {
 		t.Fatal("new task must not be done")
 	}
-	if task.Moving {
+	if st.Moving(h) {
 		t.Fatal("new task must be stationary")
 	}
-}
-
-func TestTaskClone(t *testing.T) {
-	a := New(1, 2, 0, 0)
-	b := a.Clone()
-	b.Load = 99
-	if a.Load == 99 {
-		t.Fatal("Clone must be independent")
+	if st.Node(h) != -1 || st.Slot(h) != -1 {
+		t.Fatal("new task must not be enqueued")
 	}
 }
 
@@ -77,17 +72,17 @@ func TestGraphTotalAndSetWeight(t *testing.T) {
 	if g.TotalWeight(1) != 5 {
 		t.Fatalf("TotalWeight = %v", g.TotalWeight(1))
 	}
-	if w := g.WeightToSorted(1, []ID{2}); w != 2 {
-		t.Fatalf("WeightToSorted = %v", w)
+	st, q := newTestQueue()
+	if w := g.WeightToQueue(1, q); w != 0 {
+		t.Fatalf("WeightToQueue(empty) = %v", w)
 	}
-	if w := g.WeightToSorted(1, []ID{2, 3}); w != 5 {
-		t.Fatalf("WeightToSorted = %v", w)
+	addTask(st, q, 2, 1)
+	if w := g.WeightToQueue(1, q); w != 2 {
+		t.Fatalf("WeightToQueue = %v", w)
 	}
-	if w := g.WeightToSorted(1, nil); w != 0 {
-		t.Fatalf("WeightToSorted(nil) = %v", w)
-	}
-	if w := (*Graph)(nil).WeightToSorted(1, []ID{2}); w != 0 {
-		t.Fatalf("nil graph WeightToSorted = %v", w)
+	addTask(st, q, 3, 1)
+	if w := g.WeightToQueue(1, q); w != 5 {
+		t.Fatalf("WeightToQueue = %v", w)
 	}
 }
 
@@ -181,7 +176,7 @@ func TestStoreRecycle(t *testing.T) {
 		t.Fatal("HandleOf wrong")
 	}
 	if st.Origin(a) != 3 || st.Birth(a) != 5 || st.Prev(a) != -1 || st.Done(a) != -1 {
-		t.Fatalf("lane defaults wrong: %+v", st.TaskAt(a))
+		t.Fatalf("lane defaults wrong: %+v", st.SlotStateAt(a))
 	}
 	st.Release(a)
 	if st.Alive(a) || st.ID(a) != -1 || st.HandleOf(0) != NoHandle || st.Live() != 1 {
@@ -195,7 +190,7 @@ func TestStoreRecycle(t *testing.T) {
 	}
 	if st.ID(c) != 2 || st.Load(c) != 4 || st.Origin(c) != 1 || st.Birth(c) != 8 ||
 		st.Moving(c) || st.Hops(c) != 0 || st.Prev(c) != -1 || st.MovedTick(c) != -1 {
-		t.Fatalf("recycled slot not reset: %+v", st.TaskAt(c))
+		t.Fatalf("recycled slot not reset: %+v", st.SlotStateAt(c))
 	}
 	if st.MovedTick(b) != 9 {
 		t.Fatal("recycling clobbered another slot")
@@ -205,27 +200,11 @@ func TestStoreRecycle(t *testing.T) {
 	}
 }
 
-func TestQueueByLoadDesc(t *testing.T) {
-	st, q := newTestQueue()
-	addTask(st, q, 1, 1)
-	addTask(st, q, 2, 5)
-	addTask(st, q, 3, 5)
-	addTask(st, q, 4, 2)
-	out := q.ByLoadDesc()
-	if out[0].ID != 2 || out[1].ID != 3 || out[2].ID != 4 || out[3].ID != 1 {
-		t.Fatalf("ByLoadDesc order wrong: %v %v %v %v", out[0].ID, out[1].ID, out[2].ID, out[3].ID)
-	}
-	// Original insertion order untouched.
-	if q.Tasks()[0].ID != 1 {
-		t.Fatal("ByLoadDesc must not mutate queue order")
-	}
-}
-
 func TestQueueConsumeService(t *testing.T) {
 	st, q := newTestQueue()
 	addTask(st, q, 1, 2)
 	addTask(st, q, 2, 3)
-	done, consumed := q.ConsumeService(4, 10)
+	done, consumed := q.ConsumeServiceInto(4, 10, nil)
 	if consumed != 4 {
 		t.Fatalf("consumed = %v", consumed)
 	}
@@ -239,15 +218,15 @@ func TestQueueConsumeService(t *testing.T) {
 		t.Fatalf("queue after service: len=%d total=%v", q.Len(), q.Total())
 	}
 	// Remaining task partially consumed.
-	if math.Abs(q.Tasks()[0].Load-1) > 1e-12 {
-		t.Fatalf("partial consumption wrong: %v", q.Tasks()[0].Load)
+	if rest := st.Load(q.Handles()[0]); math.Abs(rest-1) > 1e-12 {
+		t.Fatalf("partial consumption wrong: %v", rest)
 	}
 }
 
 func TestQueueConsumeMoreThanAvailable(t *testing.T) {
 	st, q := newTestQueue()
 	addTask(st, q, 1, 2)
-	done, consumed := q.ConsumeService(10, 0)
+	done, consumed := q.ConsumeServiceInto(10, 0, nil)
 	if consumed != 2 || len(done) != 1 || q.Len() != 0 || q.Total() != 0 {
 		t.Fatal("consuming more than available must drain exactly the queue")
 	}
@@ -267,23 +246,23 @@ func TestQueueTotalInvariantQuick(t *testing.T) {
 				nextID++
 			case 1:
 				if q.Len() > 0 {
-					victim := q.Tasks()[r.Intn(q.Len())].ID
+					victim := st.ID(q.Handles()[r.Intn(q.Len())])
 					st.Release(q.Remove(victim))
 				}
 			case 2:
-				done, _ := q.ConsumeService(float64(op%5), 0)
+				done, _ := q.ConsumeServiceInto(float64(op%5), 0, nil)
 				for _, h := range done {
 					st.Release(h)
 				}
 			}
 			want := 0.0
-			for _, task := range q.Tasks() {
-				want += task.Load
+			for _, h := range q.Handles() {
+				want += st.Load(h)
 			}
 			if math.Abs(q.Total()-want) > 1e-9 {
 				return false
 			}
-			if q.Len() != len(q.Tasks()) {
+			if q.Len() != len(q.Handles()) {
 				return false
 			}
 			if err := q.CheckConsistency(); err != nil {
@@ -311,7 +290,7 @@ func BenchmarkQueueAddRemove(b *testing.B) {
 	}
 }
 
-func TestWeightToQueueMatchesWeightToSorted(t *testing.T) {
+func TestWeightToQueue(t *testing.T) {
 	g := NewGraph()
 	g.SetDep(1, 2, 2)
 	g.SetDep(1, 3, 3)
@@ -320,10 +299,10 @@ func TestWeightToQueueMatchesWeightToSorted(t *testing.T) {
 	st, q := newTestQueue()
 	addTask(st, q, 2, 1)
 	addTask(st, q, 4, 1)
-	sorted := []ID{2, 4}
-	for _, id := range []ID{1, 2, 3, 99} {
-		if got, want := g.WeightToQueue(id, q), g.WeightToSorted(id, sorted); got != want {
-			t.Fatalf("task %d: WeightToQueue=%v WeightToSorted=%v", id, got, want)
+	// Tasks 2 and 4 are resident: only their edges count.
+	for id, want := range map[ID]float64{1: 7, 2: 0, 3: 7, 99: 0} {
+		if got := g.WeightToQueue(id, q); got != want {
+			t.Fatalf("task %d: WeightToQueue=%v, want %v", id, got, want)
 		}
 	}
 	if got := g.WeightToQueue(1, nil); got != 0 {
@@ -354,7 +333,7 @@ func TestGraphLazyRebuildAfterMutation(t *testing.T) {
 	}
 }
 
-// Interleaved Add/Remove/ConsumeService must preserve FIFO order and keep the
+// Interleaved Add/Remove/ConsumeServiceInto must preserve FIFO order and keep the
 // id index, total and Len consistent — this exercises the head-offset layout.
 func TestQueueInterleavedOps(t *testing.T) {
 	st, q := newTestQueue()
@@ -364,7 +343,7 @@ func TestQueueInterleavedOps(t *testing.T) {
 	// Consume a long prefix one task at a time to advance head far enough to
 	// trigger compaction.
 	for i := 0; i < 25; i++ {
-		done, consumed := q.ConsumeService(1, 0)
+		done, consumed := q.ConsumeServiceInto(1, 0, nil)
 		if len(done) != 1 || st.ID(done[0]) != ID(i) || consumed != 1 {
 			t.Fatalf("consume %d: done=%v consumed=%v", i, done, consumed)
 		}
@@ -384,13 +363,13 @@ func TestQueueInterleavedOps(t *testing.T) {
 	}
 	// FIFO order intact, index consistent.
 	want := []ID{25, 26, 27, 28, 29, 31, 32, 33, 34, 35, 36, 37, 38, 39}
-	tasks := q.Tasks()
-	if len(tasks) != len(want) {
-		t.Fatalf("Len = %d, want %d", len(tasks), len(want))
+	hs := q.Handles()
+	if len(hs) != len(want) {
+		t.Fatalf("Len = %d, want %d", len(hs), len(want))
 	}
 	for i, id := range want {
-		if tasks[i].ID != id {
-			t.Fatalf("slot %d: got id %d, want %d", i, tasks[i].ID, id)
+		if st.ID(hs[i]) != id {
+			t.Fatalf("slot %d: got id %d, want %d", i, st.ID(hs[i]), id)
 		}
 		if !q.Has(id) {
 			t.Fatalf("Has(%d) = false for resident task", id)
@@ -429,9 +408,8 @@ func TestQueueInterleavedOps(t *testing.T) {
 	}
 }
 
-// ConsumeServiceInto is the batch form of ConsumeService: it must append
-// completions to the caller's reused buffer (no allocation once warm) and
-// agree with the allocating form exactly.
+// ConsumeServiceInto must append completions to the caller's reused buffer
+// (no allocation once warm) and accept a nil buffer as well.
 func TestQueueConsumeServiceInto(t *testing.T) {
 	st, q := newTestQueue()
 	for i := 0; i < 4; i++ {
@@ -453,21 +431,23 @@ func TestQueueConsumeServiceInto(t *testing.T) {
 	if q.Len() != 2 || q.Total() != 1.5 {
 		t.Fatalf("queue after partial service: len=%d total=%v, want 2, 1.5", q.Len(), q.Total())
 	}
-	// The nil-buffer form is the original ConsumeService.
-	done2, consumed2 := q.ConsumeService(10, 11)
+	// A nil buffer allocates a fresh one.
+	done2, consumed2 := q.ConsumeServiceInto(10, 11, nil)
 	if consumed2 != 1.5 || len(done2) != 2 {
-		t.Fatalf("ConsumeService drain: done=%d consumed=%v", len(done2), consumed2)
+		t.Fatalf("nil-buffer drain: done=%d consumed=%v", len(done2), consumed2)
 	}
 }
 
-// MovedTick starts unset and is engine-owned bookkeeping; Clone must carry it.
+// MovedTick starts unset and is engine-owned bookkeeping; the slot state a
+// snapshot encodes must carry it.
 func TestTaskMovedTick(t *testing.T) {
-	task := New(1, 2, 3, 4)
-	if task.MovedTick != -1 {
-		t.Fatalf("fresh task MovedTick = %d, want -1", task.MovedTick)
+	st := NewStore()
+	h := st.Create(1, 2, 3, 4)
+	if st.MovedTick(h) != -1 {
+		t.Fatalf("fresh task MovedTick = %d, want -1", st.MovedTick(h))
 	}
-	task.MovedTick = 17
-	if c := task.Clone(); c.MovedTick != 17 {
-		t.Fatalf("clone dropped MovedTick: %d", c.MovedTick)
+	st.SetMovedTick(h, 17)
+	if got := st.SlotStateAt(h).MovedTick; got != 17 {
+		t.Fatalf("slot state dropped MovedTick: %d", got)
 	}
 }

@@ -211,13 +211,11 @@ func TestTorus16384BitIdentity500Ticks(t *testing.T) {
 
 // The full-stack combination on a non-torus topology: heterogeneous speeds
 // (surface = drain time, service scaled per node) × link faults (bounce
-// paths) × batched arrivals (bursts above the engine's fan-out threshold,
-// so Workers=8 takes the sharded injection path while Workers=1 injects
-// inline) on the cube-connected-cycles network. Conservation must hold at
-// every tick and the Workers ∈ {3, 8} runs must stay bit-identical to
-// their Workers=1 twin. The cutover is disabled: at 24 nodes the adaptive
-// threshold would run everything inline, and the point here is the sharded
-// injection path, which only parallel-path ticks take.
+// paths) × batched arrivals (96-task bursts) on the cube-connected-cycles
+// network. Conservation must hold at every tick and the Workers ∈ {3, 8}
+// runs must stay bit-identical to their Workers=1 twin. The cutover is
+// disabled: at 24 nodes the adaptive threshold would run everything
+// inline, and the point here is the fused parallel tick.
 func TestHeteroFaultyBurstCCCIdentity(t *testing.T) {
 	g := CCC(3) // 24 nodes, degree 3 — the bounded-degree hypercube substitute
 	n := g.N()
@@ -229,7 +227,6 @@ func TestHeteroFaultyBurstCCCIdentity(t *testing.T) {
 		worst := 0.0
 		sys, err := NewSystem(g, NewBalancer(DefaultBalancerConfig()),
 			WithInitial(MultiHotspotLoad(n, 3, 96, 0.5)),
-			// 96-task bursts clear the 64-arrival fan-out threshold.
 			WithArrivals(BurstArrivals(4, 96, 0.4, n)),
 			WithServiceRate(0.08),
 			WithSpeeds(speeds),

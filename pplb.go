@@ -56,8 +56,6 @@ type (
 	LinkParams = linkmodel.Params
 	// LinkOption configures LinkParams construction.
 	LinkOption = linkmodel.Option
-	// Task is one migratable unit of load (a particle).
-	Task = taskmodel.Task
 	// TaskID identifies a task.
 	TaskID = taskmodel.ID
 	// TaskGraph is the task-dependency matrix T.
