@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check check bench bench-json profile \
+.PHONY: all build test vet fmt-check check bench bench-control bench-json profile \
 	experiments harness-smoke harness-smoke-race snapshot-gate fuzz soak clean
 
 all: build
@@ -38,6 +38,13 @@ BENCHTIME ?= 0.2s
 
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkTick -benchmem -benchtime $(BENCHTIME) .
+
+# The 1M-node control plane, one iteration each: topology build, link
+# parameters, a one-node Leave+Commit and a repeat Snapshot. Each is a
+# fraction of a second; an O(E log E) or per-edge map cost creeping back into
+# set-up or reconfiguration shows up here as seconds.
+bench-control:
+	$(GO) test -run '^$$' -bench BenchmarkControlPlane1M -benchmem -benchtime 1x .
 
 bench-json:
 	$(GO) run ./cmd/pplb-bench -benchjson bench.json

@@ -200,3 +200,50 @@ func BenchmarkParticleSimulation(b *testing.B) {
 		SimulateParticle(pl, pt, 300)
 	}
 }
+
+// BenchmarkControlPlane1M measures the operations around the ticks of a
+// 1024x1024 torus (1,048,576 nodes, 2,097,152 links): building the topology,
+// building its link parameters, committing one node departure, and
+// snapshotting an engine that has already been snapshotted once. Each is a
+// fraction of a second, so `make bench-control` runs them at -benchtime 1x.
+func BenchmarkControlPlane1M(b *testing.B) {
+	b.Run("torus", func(b *testing.B) {
+		for b.Loop() {
+			Torus(1024, 1024)
+		}
+	})
+	g := Torus(1024, 1024)
+	b.Run("links", func(b *testing.B) {
+		for b.Loop() {
+			Links(g)
+		}
+	})
+	b.Run("commit", func(b *testing.B) {
+		d := NewDynamic(g)
+		v := 0
+		for b.Loop() {
+			d.Leave(v)
+			d.Commit()
+			v++
+		}
+	})
+	b.Run("snapshot-again", func(b *testing.B) {
+		sys, err := NewSystem(g, NewBalancer(DefaultBalancerConfig()),
+			WithInitial(MultiHotspotLoad(g.N(), 64, 65536, 1)),
+			WithSeed(1),
+			WithMetricsEvery(1<<30),
+		)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer sys.Close()
+		if _, err := sys.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+		for b.Loop() {
+			if _, err := sys.Snapshot(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -14,6 +14,7 @@ package linkmodel
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"pplb/internal/rng"
 	"pplb/internal/topology"
@@ -26,7 +27,6 @@ type Params struct {
 	g *topology.Graph
 	// Per-edge values, indexed by canonical edge index.
 	bw, d, f []float64
-	index    map[topology.Edge]int
 	// Derived per-edge values, precomputed at construction so the planning
 	// hot path reads a slice instead of recomputing pow/round per candidate.
 	cost, costObl, failProb []float64
@@ -37,6 +37,8 @@ type Params struct {
 	// a post-construction write would silently be ignored.
 	costScale float64
 	cFault    float64
+	// fingerprint memoizes Fingerprint: Params never changes after New.
+	fingerprint func() uint64
 }
 
 // CostScale returns the proportionality constant folded into Cost.
@@ -102,23 +104,13 @@ func WithFaultExponent(c float64) Option {
 }
 
 // WithRandomFaults assigns each link an independent fault probability drawn
-// uniformly from [0, maxF), deterministically from seed.
+// uniformly from [0, maxF), deterministically from seed. New asks for each
+// link's fault exactly once, in canonical edge order, so the draws follow
+// that order.
 func WithRandomFaults(maxF float64, seed uint64) Option {
 	return func(b *builder) {
 		r := rng.New(seed)
-		cache := make(map[[2]int]float64)
-		b.f = func(u, v int) float64 {
-			if u > v {
-				u, v = v, u
-			}
-			k := [2]int{u, v}
-			if val, ok := cache[k]; ok {
-				return val
-			}
-			val := r.Float64() * maxF
-			cache[k] = val
-			return val
-		}
+		b.f = func(u, v int) float64 { return r.Float64() * maxF }
 	}
 }
 
@@ -142,7 +134,6 @@ func New(g *topology.Graph, opts ...Option) *Params {
 		bw:        make([]float64, len(edges)),
 		d:         make([]float64, len(edges)),
 		f:         make([]float64, len(edges)),
-		index:     make(map[topology.Edge]int, len(edges)),
 		costScale: b.costScale,
 		cFault:    b.cFault,
 	}
@@ -152,18 +143,26 @@ func New(g *topology.Graph, opts ...Option) *Params {
 		if id, ok := g.EdgeID(e.U, e.V); !ok || id != i {
 			panic(fmt.Sprintf("linkmodel: edge enumeration out of sync with topology at %v (id %d)", e, i))
 		}
-		p.index[e] = i
 		p.bw[i] = b.bw(e.U, e.V)
 		p.d[i] = b.d(e.U, e.V)
-		p.f[i] = clamp01(b.f(e.U, e.V))
-		if p.bw[i] <= 0 {
-			panic(fmt.Sprintf("linkmodel: non-positive bandwidth on edge %v", e))
+		f := b.f(e.U, e.V)
+		p.f[i] = clamp01(f)
+		// Written as !(x > 0 && x < +Inf) so NaN, which compares false
+		// against everything, is rejected too: a NaN or infinite parameter
+		// would give a NaN or infinite Cost on which no slope comparison
+		// ever succeeds.
+		if !(p.bw[i] > 0 && p.bw[i] < math.Inf(1)) {
+			panic(fmt.Sprintf("linkmodel: non-positive or non-finite bandwidth %v on edge %v", p.bw[i], e))
 		}
-		if p.d[i] <= 0 {
-			panic(fmt.Sprintf("linkmodel: non-positive length on edge %v", e))
+		if !(p.d[i] > 0 && p.d[i] < math.Inf(1)) {
+			panic(fmt.Sprintf("linkmodel: non-positive or non-finite length %v on edge %v", p.d[i], e))
+		}
+		if math.IsNaN(f) {
+			panic(fmt.Sprintf("linkmodel: NaN fault probability on edge %v", e))
 		}
 	}
 	p.precompute()
+	p.fingerprint = sync.OnceValue(p.hash)
 	return p
 }
 
@@ -205,10 +204,7 @@ func clamp01(x float64) float64 {
 func (p *Params) Graph() *topology.Graph { return p.g }
 
 func (p *Params) edgeIdx(u, v int) int {
-	if u > v {
-		u, v = v, u
-	}
-	i, ok := p.index[topology.Edge{U: u, V: v}]
+	i, ok := p.g.EdgeID(u, v)
 	if !ok {
 		panic(fmt.Sprintf("linkmodel: (%d,%d) is not an edge", u, v))
 	}
@@ -268,7 +264,10 @@ func (p *Params) DeliveryFailureProbByEdge(id int) float64 { return p.failProb[i
 // fingerprint identifies the configuration for the lifetime of the system;
 // the engine's snapshot header records it so a restore into an engine built
 // with different link parameters fails loudly instead of diverging silently.
-func (p *Params) Fingerprint() uint64 {
+// The hash is computed once and memoized.
+func (p *Params) Fingerprint() uint64 { return p.fingerprint() }
+
+func (p *Params) hash() uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

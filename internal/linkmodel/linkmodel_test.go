@@ -109,6 +109,39 @@ func TestPanicsOnBadInput(t *testing.T) {
 	}
 }
 
+// TestPanicsOnNonFiniteInput: NaN and +Inf parameters must be rejected like
+// non-positive ones, not turned into a NaN or infinite Cost.
+func TestPanicsOnNonFiniteInput(t *testing.T) {
+	g := topology.NewRing(4)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		opt  Option
+	}{
+		{"NaN bandwidth", WithBandwidthFn(func(u, v int) float64 { return nan })},
+		{"+Inf bandwidth", WithBandwidthFn(func(u, v int) float64 { return inf })},
+		{"NaN length", WithLengthFn(func(u, v int) float64 { return nan })},
+		{"+Inf length", WithLengthFn(func(u, v int) float64 { return inf })},
+		{"NaN fault", WithFaultFn(func(u, v int) float64 { return nan })},
+		{"NaN uniform fault", WithUniformFault(nan)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic")
+				}
+			}()
+			New(g, tc.opt)
+		})
+	}
+	// Infinite faults are out of range but not NaN: clamped, as before.
+	for _, f := range []float64{inf, -inf} {
+		if c := New(g, WithUniformFault(f)).Cost(0, 1); math.IsNaN(c) || math.IsInf(c, 0) {
+			t.Fatalf("fault %v: cost %v, want finite", f, c)
+		}
+	}
+}
+
 func TestEdgeSymmetry(t *testing.T) {
 	g := topology.NewTorus(3, 3)
 	p := New(g, WithEuclideanLengths(g), WithUniformBandwidth(2))

@@ -2,7 +2,7 @@ package topology
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Dynamic is the versioned, mutable counterpart of Graph: a staging area for
@@ -11,6 +11,12 @@ import (
 // Graph; Commit rebuilds the CSR adjacency from the staged state and bumps
 // the topology epoch. Engines keep running against the old immutable Graph
 // until the caller hands them the committed successor (sim.Engine.Reconfigure).
+//
+// The staged link set is the committed graph's edge set overridden by a small
+// overlay of per-link states, so no operation touches every edge except
+// Commit: NewDynamic is O(N), Leave(v) is O(deg(v) + |overlay|), the
+// per-link operations are a binary search plus a map probe, and Commit is
+// one pass over the committed edges plus a near-sorted build.
 //
 // Node ids are stable and never recycled: Leave marks an id dead forever and
 // Join always appends a fresh id at N. Dead nodes stay in the id space as
@@ -24,10 +30,12 @@ type Dynamic struct {
 	alive  []bool
 	aliveN int
 	coords []Point2
-	links  map[uint64]linkState
-	epoch  int64
-	cur    *Graph
-	dirty  bool
+	// over overrides cur's edge set: a key present here has the stated
+	// state, any other key is up exactly when it is an edge of cur.
+	over  map[uint64]linkState
+	epoch int64
+	cur   *Graph
+	dirty bool
 }
 
 type linkState uint8
@@ -38,6 +46,8 @@ const (
 	// graphs, so RepairLink can restore it without the caller remembering
 	// the endpoint pair.
 	linkFailed
+	// linkGone hides an edge of the committed graph from the staged set.
+	linkGone
 )
 
 func linkKey(u, v int) uint64 {
@@ -57,17 +67,23 @@ func NewDynamic(g *Graph) *Dynamic {
 		alive:  make([]bool, n),
 		aliveN: n,
 		coords: make([]Point2, n),
-		links:  make(map[uint64]linkState, g.NumEdges()),
+		over:   make(map[uint64]linkState),
 		cur:    g,
 	}
-	for v := 0; v < n; v++ {
+	for v := range d.alive {
 		d.alive[v] = true
-		d.coords[v] = g.Coord(v)
 	}
-	for _, e := range g.Edges() {
-		d.links[linkKey(e.U, e.V)] = linkUp
-	}
+	copy(d.coords, g.coords)
 	return d
+}
+
+// link returns the staged state of {u,v} and whether the link exists at all.
+func (d *Dynamic) link(u, v int) (linkState, bool) {
+	if st, ok := d.over[linkKey(u, v)]; ok {
+		return st, st != linkGone
+	}
+	_, ok := d.cur.EdgeID(u, v)
+	return linkUp, ok
 }
 
 // N returns the size of the id space (alive + dead nodes). Grows on Join,
@@ -120,9 +136,14 @@ func (d *Dynamic) Leave(v int) bool {
 	}
 	d.alive[v] = false
 	d.aliveN--
-	for k := range d.links {
+	for k := range d.over {
 		if int(k>>32) == v || int(k&0xffffffff) == v {
-			delete(d.links, k)
+			d.over[k] = linkGone
+		}
+	}
+	if v < d.cur.N() {
+		for _, u := range d.cur.Neighbors(v) {
+			d.over[linkKey(u, v)] = linkGone
 		}
 	}
 	d.dirty = true
@@ -135,11 +156,10 @@ func (d *Dynamic) AddLink(u, v int) bool {
 	if u == v || !d.Alive(u) || !d.Alive(v) {
 		return false
 	}
-	k := linkKey(u, v)
-	if _, ok := d.links[k]; ok {
+	if _, ok := d.link(u, v); ok {
 		return false
 	}
-	d.links[k] = linkUp
+	d.over[linkKey(u, v)] = linkUp
 	d.dirty = true
 	return true
 }
@@ -147,11 +167,10 @@ func (d *Dynamic) AddLink(u, v int) bool {
 // RemoveLink deletes a link permanently (up or failed). Reports whether it
 // existed.
 func (d *Dynamic) RemoveLink(u, v int) bool {
-	k := linkKey(u, v)
-	if _, ok := d.links[k]; !ok {
+	if _, ok := d.link(u, v); !ok {
 		return false
 	}
-	delete(d.links, k)
+	d.over[linkKey(u, v)] = linkGone
 	d.dirty = true
 	return true
 }
@@ -159,11 +178,10 @@ func (d *Dynamic) RemoveLink(u, v int) bool {
 // FailLink takes a link down without forgetting it, so RepairLink can bring
 // it back. Reports whether the link existed and was up.
 func (d *Dynamic) FailLink(u, v int) bool {
-	k := linkKey(u, v)
-	if st, ok := d.links[k]; !ok || st != linkUp {
+	if st, ok := d.link(u, v); !ok || st != linkUp {
 		return false
 	}
-	d.links[k] = linkFailed
+	d.over[linkKey(u, v)] = linkFailed
 	d.dirty = true
 	return true
 }
@@ -171,36 +189,34 @@ func (d *Dynamic) FailLink(u, v int) bool {
 // RepairLink restores a failed link. Reports whether the link existed and
 // was failed.
 func (d *Dynamic) RepairLink(u, v int) bool {
-	k := linkKey(u, v)
-	if st, ok := d.links[k]; !ok || st != linkFailed {
+	if st, ok := d.link(u, v); !ok || st != linkFailed {
 		return false
 	}
-	d.links[k] = linkUp
+	d.over[linkKey(u, v)] = linkUp
 	d.dirty = true
 	return true
 }
 
 // HasLink reports whether a link is staged and up.
 func (d *Dynamic) HasLink(u, v int) bool {
-	st, ok := d.links[linkKey(u, v)]
+	st, ok := d.link(u, v)
 	return ok && st == linkUp
 }
 
 // FailedLinks returns the currently failed links in canonical ascending
 // order — the candidate set for RepairLink.
 func (d *Dynamic) FailedLinks() []Edge {
-	var out []Edge
-	for k, st := range d.links {
+	var keys []uint64
+	for k, st := range d.over {
 		if st == linkFailed {
-			out = append(out, Edge{U: int(k >> 32), V: int(k & 0xffffffff)})
+			keys = append(keys, k)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
+	slices.Sort(keys)
+	var out []Edge
+	for _, k := range keys {
+		out = append(out, Edge{U: int(k >> 32), V: int(k & 0xffffffff)})
+	}
 	return out
 }
 
@@ -209,18 +225,31 @@ func (d *Dynamic) FailedLinks() []Edge {
 // current graph and epoch unchanged — committing is idempotent. The committed
 // graph's name carries the epoch ("torus-8x8@e3") so fingerprints and error
 // messages identify which topology version an engine is running.
+//
+// The edge list is the committed edges not in the overlay, still in canonical
+// order, followed by the overlay's few up links, so build sorts nearly sorted
+// input. Up and gone entries are then part of the new graph; failed entries
+// stay in the overlay so RepairLink works across commits.
 func (d *Dynamic) Commit() (*Graph, int64) {
 	if !d.dirty {
 		return d.cur, d.epoch
 	}
-	n := len(d.alive)
-	s := newEdgeList(n)
-	for k, st := range d.links {
-		if st == linkUp {
-			addEdge(s, int(k>>32), int(k&0xffffffff))
+	s := newEdgeList(len(d.alive), d.cur.NumEdges()+len(d.over))
+	for _, e := range d.cur.Edges() {
+		k := linkKey(e.U, e.V)
+		if _, ok := d.over[k]; !ok {
+			s.pairs = append(s.pairs, k)
 		}
 	}
-	coords := make([]Point2, n)
+	for k, st := range d.over {
+		if st == linkUp {
+			s.pairs = append(s.pairs, k)
+		}
+		if st != linkFailed {
+			delete(d.over, k)
+		}
+	}
+	coords := make([]Point2, len(d.coords))
 	copy(coords, d.coords)
 	d.epoch++
 	d.cur = build(fmt.Sprintf("%s@e%d", d.name, d.epoch), s, coords)

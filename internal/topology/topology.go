@@ -12,7 +12,7 @@ package topology
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"pplb/internal/rng"
 )
@@ -30,15 +30,15 @@ type Edge struct {
 }
 
 // Graph is an undirected interconnection network with a fixed node set
-// {0..N-1}, sorted adjacency lists, and a 2-D embedding. The per-node adj and
-// adjEdge slices are windows into two shared backing arrays (a CSR layout),
-// so a graph costs O(N+E) small allocations instead of O(N) maps — the
-// difference between a 1M-node torus building in well under a second and it
-// thrashing the allocator for minutes.
+// {0..N-1}, sorted adjacency lists, and a 2-D embedding. Adjacency is a flat
+// CSR layout: node v's neighbours are nbr[off[v]:off[v+1]] and the aligned
+// canonical edge ids are nbrEdge[off[v]:off[v+1]]. A graph therefore costs a
+// handful of allocations whatever its size, and no per-node slice headers.
 type Graph struct {
 	name    string
-	adj     [][]int
-	adjEdge [][]int // adjEdge[v][k] = EdgeID(v, adj[v][k])
+	off     []int32 // len N+1; off[v]..off[v+1] indexes nbr and nbrEdge
+	nbr     []int
+	nbrEdge []int // nbrEdge[k] = EdgeID(v, nbr[k]) for off[v] <= k < off[v+1]
 	coords  []Point2
 	edges   []Edge
 }
@@ -53,52 +53,40 @@ type edgeList struct {
 // build finalises a graph from the accumulated edge list: sort + dedup the
 // normalised pairs (their order IS the canonical edge order — lexicographic
 // (U,V)), then fill the CSR adjacency in one pass. Because pairs are
-// processed in sorted order, every adj[v] comes out ascending: all neighbours
-// u < v arrive first (from pairs (u,v), ascending in u), then all neighbours
-// w > v (from pairs (v,w), ascending in w).
+// processed in sorted order, every neighbour list comes out ascending: all
+// neighbours u < v arrive first (from pairs (u,v), ascending in u), then all
+// neighbours w > v (from pairs (v,w), ascending in w). The structured
+// generators and Dynamic.Commit emit pairs nearly sorted, on which pdqsort
+// runs close to linear.
 func build(name string, s *edgeList, coords []Point2) *Graph {
 	n := s.n
-	sort.Slice(s.pairs, func(i, j int) bool { return s.pairs[i] < s.pairs[j] })
-	pairs := s.pairs[:0]
-	var prev uint64
-	for i, p := range s.pairs {
-		if i == 0 || p != prev {
-			pairs = append(pairs, p)
-			prev = p
-		}
-	}
+	slices.Sort(s.pairs)
+	pairs := slices.Compact(s.pairs)
 	g := &Graph{name: name, coords: coords}
 	g.edges = make([]Edge, len(pairs))
-	deg := make([]int32, n+1)
+	// Count degrees into off[v+1], then prefix-sum into CSR offsets.
+	off := make([]int32, n+1)
 	for i, p := range pairs {
 		u, v := int(p>>32), int(p&0xffffffff)
 		g.edges[i] = Edge{U: u, V: v}
-		deg[u]++
-		deg[v]++
+		off[u+1]++
+		off[v+1]++
 	}
-	// Prefix-sum degrees into CSR offsets; off[v] doubles as the running fill
-	// cursor for node v during the second pass.
-	off := make([]int32, n+1)
 	for v := 0; v < n; v++ {
-		off[v+1] = off[v] + deg[v]
+		off[v+1] += off[v]
 	}
-	start := make([]int32, n+1)
-	copy(start, off)
-	adjData := make([]int, off[n])
-	adjEdgeData := make([]int, off[n])
+	// fill[v] is the running write cursor of node v's neighbour window.
+	fill := make([]int32, n)
+	copy(fill, off)
+	g.off = off
+	g.nbr = make([]int, off[n])
+	g.nbrEdge = make([]int, off[n])
 	for i, p := range pairs {
 		u, v := int(p>>32), int(p&0xffffffff)
-		adjData[off[u]], adjEdgeData[off[u]] = v, i
-		off[u]++
-		adjData[off[v]], adjEdgeData[off[v]] = u, i
-		off[v]++
-	}
-	g.adj = make([][]int, n)
-	g.adjEdge = make([][]int, n)
-	for v := 0; v < n; v++ {
-		lo, hi := start[v], start[v+1]
-		g.adj[v] = adjData[lo:hi:hi]
-		g.adjEdge[v] = adjEdgeData[lo:hi:hi]
+		g.nbr[fill[u]], g.nbrEdge[fill[u]] = v, i
+		fill[u]++
+		g.nbr[fill[v]], g.nbrEdge[fill[v]] = u, i
+		fill[v]++
 	}
 	if g.coords == nil {
 		g.coords = circleLayout(n)
@@ -106,7 +94,11 @@ func build(name string, s *edgeList, coords []Point2) *Graph {
 	return g
 }
 
-func newEdgeList(n int) *edgeList { return &edgeList{n: n} }
+// newEdgeList starts an edge list over n nodes with room for hint addEdge
+// calls, so generators whose edge count is known append without regrowing.
+func newEdgeList(n, hint int) *edgeList {
+	return &edgeList{n: n, pairs: make([]uint64, 0, hint)}
+}
 
 func addEdge(s *edgeList, u, v int) {
 	if u == v {
@@ -131,48 +123,44 @@ func circleLayout(n int) []Point2 {
 	return pts
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Name returns a human-readable topology name, e.g. "torus8x8".
 func (g *Graph) Name() string { return g.name }
 
 // N returns the number of nodes.
-func (g *Graph) N() int { return len(g.adj) }
+func (g *Graph) N() int { return len(g.off) - 1 }
 
 // Degree returns the degree of node v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int { return int(g.off[v+1] - g.off[v]) }
 
 // MaxDegree returns the maximum degree over all nodes (0 for empty graphs).
 func (g *Graph) MaxDegree() int {
 	d := 0
-	for v := range g.adj {
-		if len(g.adj[v]) > d {
-			d = len(g.adj[v])
-		}
+	for v := 0; v < g.N(); v++ {
+		d = max(d, g.Degree(v))
 	}
 	return d
 }
 
-// Neighbors returns the sorted neighbour list of v. The slice is shared;
-// callers must not modify it.
-func (g *Graph) Neighbors(v int) []int { return g.adj[v] }
+// Neighbors returns the sorted neighbour list of v. The slice is shared and
+// capacity-capped; callers must not modify it.
+func (g *Graph) Neighbors(v int) []int {
+	lo, hi := g.off[v], g.off[v+1]
+	return g.nbr[lo:hi:hi]
+}
 
 // IncidentEdgeIDs returns the canonical edge ids of v's links, aligned with
 // Neighbors(v): IncidentEdgeIDs(v)[k] is the edge id of {v, Neighbors(v)[k]}.
 // Hot paths use it to index per-edge state (costs, busy flags) without a map
-// lookup. The slice is shared; callers must not modify it.
-func (g *Graph) IncidentEdgeIDs(v int) []int { return g.adjEdge[v] }
+// lookup. The slice is shared and capacity-capped; callers must not modify it.
+func (g *Graph) IncidentEdgeIDs(v int) []int {
+	lo, hi := g.off[v], g.off[v+1]
+	return g.nbrEdge[lo:hi:hi]
+}
 
 // HasEdge reports whether u and v are adjacent.
 func (g *Graph) HasEdge(u, v int) bool {
-	ns := g.adj[u]
-	i := sort.SearchInts(ns, v)
-	return i < len(ns) && ns[i] == v
+	_, ok := slices.BinarySearch(g.Neighbors(u), v)
+	return ok
 }
 
 // Edges returns all undirected edges with U < V in canonical order. The
@@ -185,16 +173,14 @@ func (g *Graph) Edges() []Edge { return g.edges }
 // O(log degree), no map — so it stays cheap on hubs (stars, complete graphs)
 // and allocation-free everywhere.
 func (g *Graph) EdgeID(u, v int) (int, bool) {
-	if u < 0 || v < 0 || u >= len(g.adj) || v >= len(g.adj) || u == v {
+	if u < 0 || v < 0 || u >= g.N() || v >= g.N() || u == v {
 		return 0, false
 	}
-	if len(g.adj[v]) < len(g.adj[u]) {
+	if g.Degree(v) < g.Degree(u) {
 		u, v = v, u
 	}
-	ns := g.adj[u]
-	i := sort.SearchInts(ns, v)
-	if i < len(ns) && ns[i] == v {
-		return g.adjEdge[u][i], true
+	if i, ok := slices.BinarySearch(g.Neighbors(u), v); ok {
+		return g.IncidentEdgeIDs(u)[i], true
 	}
 	return 0, false
 }
@@ -226,7 +212,7 @@ func (g *Graph) BFSDistances(src int) []int {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, u := range g.adj[v] {
+		for _, u := range g.Neighbors(v) {
 			if dist[u] < 0 {
 				dist[u] = dist[v] + 1
 				queue = append(queue, u)
@@ -299,7 +285,7 @@ func (g *Graph) EdgeColoring() [][]Edge {
 // NewMesh returns a rows x cols 2-D mesh (grid) with 4-neighbourhood.
 func NewMesh(rows, cols int) *Graph {
 	n := rows * cols
-	s := newEdgeList(n)
+	s := newEdgeList(n, rows*max(cols-1, 0)+cols*max(rows-1, 0))
 	coords := make([]Point2, n)
 	id := func(r, c int) int { return r*cols + c }
 	for r := 0; r < rows; r++ {
@@ -319,7 +305,7 @@ func NewMesh(rows, cols int) *Graph {
 // NewTorus returns a rows x cols 2-D torus (mesh with wraparound links).
 func NewTorus(rows, cols int) *Graph {
 	n := rows * cols
-	s := newEdgeList(n)
+	s := newEdgeList(n, 2*n)
 	coords := make([]Point2, n)
 	id := func(r, c int) int { return r*cols + c }
 	for r := 0; r < rows; r++ {
@@ -335,7 +321,7 @@ func NewTorus(rows, cols int) *Graph {
 // NewHypercube returns the n-dimensional hypercube Q_dim with 2^dim nodes.
 func NewHypercube(dim int) *Graph {
 	n := 1 << uint(dim)
-	s := newEdgeList(n)
+	s := newEdgeList(n, n*dim)
 	coords := make([]Point2, n)
 	for v := 0; v < n; v++ {
 		// Lay nodes on a circle ordered by Gray code for a tidy drawing.
@@ -353,7 +339,7 @@ func NewHypercube(dim int) *Graph {
 // NewRing returns a cycle of n nodes (n >= 3 for a proper ring; smaller n
 // degenerate to a path/point).
 func NewRing(n int) *Graph {
-	s := newEdgeList(n)
+	s := newEdgeList(n, n)
 	for v := 0; v < n; v++ {
 		if n > 1 {
 			addEdge(s, v, (v+1)%n)
@@ -364,7 +350,7 @@ func NewRing(n int) *Graph {
 
 // NewStar returns a star: node 0 is the hub connected to all others.
 func NewStar(n int) *Graph {
-	s := newEdgeList(n)
+	s := newEdgeList(n, max(n-1, 0))
 	for v := 1; v < n; v++ {
 		addEdge(s, 0, v)
 	}
@@ -379,7 +365,7 @@ func NewStar(n int) *Graph {
 // system behaves like the LAN scenario of the related-work section, where
 // all processors are mutually "neighbours".
 func NewComplete(n int) *Graph {
-	s := newEdgeList(n)
+	s := newEdgeList(n, max(n*(n-1)/2, 0))
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			addEdge(s, u, v)
@@ -401,7 +387,7 @@ func NewTree(arity, depth int) *Graph {
 		level *= arity
 		n += level
 	}
-	s := newEdgeList(n)
+	s := newEdgeList(n, n-1)
 	coords := make([]Point2, n)
 	// BFS order: children of node v are arity*v+1 .. arity*v+arity.
 	type item struct{ id, depth, slot, width int }
@@ -460,7 +446,7 @@ func tryPairing(n, d int, r *rng.RNG) (*Graph, bool) {
 		}
 	}
 	r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	s := newEdgeList(n)
+	s := newEdgeList(n, len(stubs)/2)
 	seen := make(map[uint64]bool, len(stubs)/2)
 	for i := 0; i+1 < len(stubs); i += 2 {
 		u, v := stubs[i], stubs[i+1]
@@ -479,7 +465,7 @@ func tryPairing(n, d int, r *rng.RNG) (*Graph, bool) {
 }
 
 func circulant(n, d int) *Graph {
-	s := newEdgeList(n)
+	s := newEdgeList(n, n*(d/2+1))
 	for v := 0; v < n; v++ {
 		for k := 1; k <= d/2; k++ {
 			addEdge(s, v, (v+k)%n)
@@ -502,7 +488,7 @@ func NewCCC(d int) *Graph {
 	}
 	corners := 1 << uint(d)
 	n := corners * d
-	s := newEdgeList(n)
+	s := newEdgeList(n, 2*n)
 	id := func(w, p int) int { return w*d + p }
 	coords := make([]Point2, n)
 	for w := 0; w < corners; w++ {
