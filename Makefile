@@ -16,6 +16,7 @@ test:
 
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet .
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -31,9 +32,10 @@ experiments:
 
 check: fmt-check vet build test experiments
 
-# Short-benchtime tick benchmarks: quick enough for CI, still catches order-
-# of-magnitude regressions. Override for real measurements, e.g.
-# `make bench BENCHTIME=2s`.
+# Short-benchtime tick benchmarks, one BenchmarkTick sub-benchmark per
+# scenario: quick enough for CI, still catches order-of-magnitude
+# regressions. Override for a longer sample, e.g. `make bench BENCHTIME=2s`;
+# performance claims come from benchmark/run.sh, not from these.
 BENCHTIME ?= 0.2s
 
 bench:
@@ -49,13 +51,14 @@ bench-control:
 bench-json:
 	$(GO) run ./cmd/pplb-bench -benchjson bench.json
 
-# CPU + heap profiles of the tick benchmarks via pplb-bench's pprof flags.
-# Inspect with `go tool pprof profiles/bench.cpu.pprof` (top, list, web).
+# The -benchjson record plus CPU + heap profiles of the tick benchmarks via
+# pplb-bench's pprof flags. Inspect with `go tool pprof
+# profiles/bench.cpu.pprof` (top, list, web).
 PROFILE_DIR ?= profiles
 
 profile:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) run ./cmd/pplb-bench -benchjson $(PROFILE_DIR)/bench.json -baseline none \
+	$(GO) run ./cmd/pplb-bench -benchjson $(PROFILE_DIR)/bench.json \
 		-cpuprofile $(PROFILE_DIR)/bench.cpu.pprof -memprofile $(PROFILE_DIR)/bench.mem.pprof
 	@echo "profiles written to $(PROFILE_DIR)/"
 

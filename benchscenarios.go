@@ -3,9 +3,9 @@ package pplb
 import "strconv"
 
 // TickBenchScenario is one engine tick-benchmark configuration. The same
-// table backs the go-test BenchmarkTick* benchmarks and the machine-readable
-// `pplb-bench -benchjson` record, so the two report comparable numbers and
-// cannot drift apart.
+// table backs the go-test BenchmarkTick sub-benchmarks and the
+// machine-readable `pplb-bench -benchjson` record, so the two report
+// comparable numbers and cannot drift apart.
 type TickBenchScenario struct {
 	Name string
 	// New builds the system and advances it to the measured steady state.
@@ -225,13 +225,14 @@ func sparse1MScenario(name string, workers int) TickBenchScenario {
 	}
 }
 
-// TickBenchScenarios returns the engine scenarios tracked across PRs (see
-// BENCH_PR1.json / BENCH_PR2.json for the recorded trajectory). Scenario
-// names match their go-test benchmark functions minus the "Benchmark"
-// prefix, so `pplb-bench -benchjson` records and `go test -bench` output are
-// directly greppable against each other.
+// TickBenchScenarios returns the engine tick scenarios. Each runs as the
+// go-test sub-benchmark BenchmarkTick/<name minus "Tick">, and `pplb-bench
+// -benchjson` records it under that same name.
 func TickBenchScenarios() []TickBenchScenario {
 	out := []TickBenchScenario{
+		// One sequential PPLB tick on small tori, then the diffusion and
+		// gradient-model baselines on the same workload for comparison (GM's
+		// tick includes its per-tick BFS pressure relaxation).
 		tickScenario("TickPPLBTorus256", func() *Graph { return Torus(16, 16) },
 			func() Policy { return NewBalancer(DefaultBalancerConfig()) }, 512, 20),
 		tickScenario("TickPPLBTorus1024", func() *Graph { return Torus(32, 32) },
@@ -240,6 +241,7 @@ func TickBenchScenarios() []TickBenchScenario {
 			func() Policy { return DiffusionPolicy(0) }, 512, 20),
 		tickScenario("TickGMTorus256", func() *Graph { return Torus(16, 16) },
 			func() Policy { return GradientModelPolicy() }, 512, 20),
+		// The parallel tick pipeline on a 1024-node random-regular graph.
 		parallelScenario("TickPPLBParallel", func() *Graph { return RandomRegular(1024, 4, 7) }, 4, 8, 10),
 	}
 	// The production-scale scenarios the sharded pipeline opens: tens of
@@ -249,13 +251,14 @@ func TickBenchScenarios() []TickBenchScenario {
 	// on the same commit.
 	out = append(out, torus16384Sweep.scenarios()...)
 	out = append(out,
+		// The scalability ceiling: a 65,536-node random 4-regular graph.
 		parallelScenario("TickPPLBRR65536", func() *Graph { return RandomRegular(65536, 4, 7) }, 2, 8, 5),
-		// The active-set pair (PR 6): post-convergence tick cost with and
-		// without incremental planning, from bit-identical states. The delta
-		// between the two is the O(changed)-vs-O(N) headline.
+		// The active-set pair: post-convergence tick cost with and without
+		// incremental planning, from bit-identical states. The ratio of the
+		// two is the O(changed)-vs-O(N) headline (target: at least 10x).
 		steadyStateScenario("TickSteadyStateTorus16384", 400, false),
 		steadyStateScenario("TickSteadyStateTorus16384FullSweep", 400, true),
-		// The dynamic-topology pair (PR 10): amortised tick cost under
+		// The dynamic-topology pair: amortised tick cost under
 		// periodic join/leave/link churn, and the churn-free steady tick
 		// after a reconfigured history (pinned to 0 allocs/op by the gate).
 		churnScenario("TickPPLBChurnTorus16384", 8),

@@ -1,24 +1,23 @@
 // Command pplb-bench regenerates the paper's tables and figures (experiments
-// E1–E14; see DESIGN.md for the index) and prints them with their shape
-// checks.
+// E1–E14; see the README's "Experiment index (E1–E14)") and prints them with
+// their shape checks.
 //
 // Usage:
 //
-//	pplb-bench [-full] [-list] [-out FILE] [-checks FILE] [-benchjson FILE] [-baseline FILE] [experiment ...]
+//	pplb-bench [-full] [-list] [-out FILE] [-checks FILE] [-benchjson FILE] [experiment ...]
 //
 // With no arguments it runs the whole registry. Experiments are named by id
 // (E1..E14) or alias (fig1, fig2, fig3, table1, thm2, compare, faults, deps,
 // anneal, dynamic, scale, ablate, hetero, static). -full selects the
-// paper-scale parameters used for EXPERIMENTS.md (slower); the default is
-// the quick variant. -checks writes a machine-readable JSON summary of all
-// shape checks (a CI gate). -benchjson runs the engine tick
-// micro-benchmarks instead of the experiment registry and writes a
-// machine-readable record of ns/op, allocs/op and heap/GC deltas per
-// scenario, so the repository can track its performance and memory
-// trajectory across PRs; each entry also carries a delta against the
-// previous PR's recorded trajectory (-baseline overrides which BENCH_*.json
-// to diff against, "none" disables). -cpuprofile/-memprofile write pprof
-// profiles of whatever the invocation ran (experiments or benchmarks).
+// paper-scale parameters (slower); the default is the quick variant.
+// -checks writes a machine-readable JSON summary of all shape checks (a CI
+// gate). -benchjson runs the engine tick micro-benchmarks instead of the
+// experiment registry and writes a machine-readable record of ns/op,
+// allocs/op and heap/GC deltas per scenario, plus the worker sweeps'
+// parallel speedup. It is one sample per scenario: performance claims come
+// from the repeated, bounded runs of the end-to-end benchmark under
+// benchmark/. -cpuprofile/-memprofile write pprof profiles of whatever the
+// invocation ran (experiments or benchmarks).
 package main
 
 import (
@@ -28,28 +27,25 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
+	"strings"
 	"testing"
 
 	"pplb"
 )
 
 // benchRecord is the machine-readable output of -benchjson. GOMAXPROCS and
-// NumCPU pin the host parallelism the numbers were measured under, so a
-// trajectory delta taken on a different machine (or a GOMAXPROCS-capped CI
-// runner) can be discounted instead of read as a regression — the parallel
-// scenarios scale with both.
+// NumCPU pin the host parallelism the numbers were measured under — the
+// parallel scenarios scale with both.
 type benchRecord struct {
-	Schema     string           `json:"schema"` // "pplb-bench/6"
+	Schema     string           `json:"schema"` // "pplb-bench/7"
 	GoVersion  string           `json:"go_version"`
 	GOOS       string           `json:"goos"`
 	GOARCH     string           `json:"goarch"`
 	GOMAXPROCS int              `json:"gomaxprocs"`
 	NumCPU     int              `json:"num_cpu"`
-	Baseline   string           `json:"baseline,omitempty"` // BENCH_*.json the deltas compare against
 	Benchmarks []benchmarkEntry `json:"benchmarks"`
 
 	// ParallelSweeps (since schema pplb-bench/5) summarises the worker-count scans
@@ -71,7 +67,7 @@ type sweepEntry struct {
 }
 
 type benchmarkEntry struct {
-	Name        string  `json:"name"` // "Benchmark"-prefixed, matching the go-test benchmark
+	Name        string  `json:"name"` // as `go test -bench` prints it, e.g. "BenchmarkTick/PPLBTorus256"
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
@@ -92,118 +88,23 @@ type benchmarkEntry struct {
 	// churn scenarios, where it records how many reconfigurations the
 	// benchmark loop amortised into its ns/op.
 	TopologyEpochs int64 `json:"topology_epochs,omitempty"`
-
-	// DeltaNsPct is the percentage change of ns/op against the baseline
-	// trajectory record ("after" values), negative = faster. Omitted when
-	// the baseline lacks the benchmark.
-	DeltaNsPct *float64 `json:"delta_ns_pct,omitempty"`
 }
 
-// trajectoryFile is the subset of the BENCH_PR*.json schemas the delta
-// section reads: the hand-written pplb-bench-trajectory/1 records carry
-// before/after pairs, the tool's own pplb-bench/3+ records carry flat
-// per-benchmark numbers.
-type trajectoryFile struct {
-	Benchmarks []struct {
-		Name    string  `json:"name"`
-		NsPerOp float64 `json:"ns_per_op"`
-		After   struct {
-			NsPerOp float64 `json:"ns_per_op"`
-		} `json:"after"`
-	} `json:"benchmarks"`
+// benchName is the name `go test -bench` prints for a tick scenario: the
+// sub-benchmark of BenchmarkTick named after the scenario minus its "Tick"
+// prefix.
+func benchName(scenario string) string {
+	return "BenchmarkTick/" + strings.TrimPrefix(scenario, "Tick")
 }
 
-// findBaseline returns the BENCH_PR*.json in the current directory with the
-// highest PR number ("" when none exist) — the previous PR's recorded
-// trajectory, so every -benchjson run reports its drift by default.
-func findBaseline() string {
-	matches, _ := filepath.Glob("BENCH_PR*.json")
-	best, bestN := "", -1
-	for _, m := range matches {
-		var n int
-		if _, err := fmt.Sscanf(filepath.Base(m), "BENCH_PR%d.json", &n); err == nil && n > bestN {
-			best, bestN = m, n
-		}
-	}
-	return best
-}
-
-// sameFile reports whether a and b name the same path after cleaning
-// (neither needs to exist; a non-existent output cannot collide).
-func sameFile(a, b string) (bool, error) {
-	if a == "" || b == "" {
-		return false, nil
-	}
-	aa, err := filepath.Abs(a)
-	if err != nil {
-		return false, err
-	}
-	bb, err := filepath.Abs(b)
-	if err != nil {
-		return false, err
-	}
-	return aa == bb, nil
-}
-
-// loadBaseline maps benchmark name to the baseline's ns/op.
-func loadBaseline(path string) (map[string]float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var tf trajectoryFile
-	if err := json.Unmarshal(data, &tf); err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64, len(tf.Benchmarks))
-	for _, b := range tf.Benchmarks {
-		switch {
-		case b.After.NsPerOp > 0:
-			out[b.Name] = b.After.NsPerOp
-		case b.NsPerOp > 0:
-			out[b.Name] = b.NsPerOp
-		}
-	}
-	return out, nil
-}
-
-func runBenchJSON(path, baseline string, scenarios []pplb.TickBenchScenario, stdout io.Writer) error {
-	// Resolve the baseline before touching the output: recording straight
-	// into the next BENCH_PR*.json must neither pick the (about to be
-	// truncated) output as its own baseline nor destroy an existing record
-	// on the error path.
+func runBenchJSON(path string, scenarios []pplb.TickBenchScenario, stdout io.Writer) error {
 	rec := benchRecord{
-		Schema:     "pplb-bench/6",
+		Schema:     "pplb-bench/7",
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
-	}
-	explicit := baseline != ""
-	if !explicit {
-		baseline = findBaseline()
-		if same, err := sameFile(baseline, path); err == nil && same {
-			// Without this notice the record silently loses its delta
-			// section and the missing comparison reads like a tooling bug.
-			fmt.Fprintf(os.Stderr, "pplb-bench: output %s is the auto-discovered baseline; recording without deltas (pass -baseline to compare against another record)\n", path)
-			baseline = ""
-		}
-	}
-	var base map[string]float64
-	if baseline != "" && baseline != "none" {
-		b, err := loadBaseline(baseline)
-		switch {
-		case err == nil:
-			base = b
-			rec.Baseline = baseline
-		case explicit:
-			return fmt.Errorf("baseline %s: %w", baseline, err)
-		default:
-			// An unreadable auto-discovered baseline (e.g. the empty husk of
-			// a killed -benchjson run) should not block recording.
-			fmt.Fprintf(os.Stderr, "pplb-bench: ignoring unreadable baseline %s: %v\n", baseline, err)
-		}
 	}
 	// Open the output before spending minutes benchmarking, so a bad path
 	// fails immediately.
@@ -211,10 +112,9 @@ func runBenchJSON(path, baseline string, scenarios []pplb.TickBenchScenario, std
 	if err != nil {
 		return err
 	}
-	// The scenario table is shared with the go-test BenchmarkTick*
-	// benchmarks, so -benchjson numbers are directly comparable to theirs;
-	// entries carry the full Benchmark* name so trajectory diffs across PRs
-	// stay greppable.
+	// The scenario table is shared with the go-test BenchmarkTick
+	// benchmark, so -benchjson numbers are directly comparable to its
+	// sub-benchmarks and carry the same names.
 	for _, bm := range scenarios {
 		sys, err := bm.New()
 		if err != nil {
@@ -247,7 +147,7 @@ func runBenchJSON(path, baseline string, scenarios []pplb.TickBenchScenario, std
 			os.Remove(path)
 			return fmt.Errorf("%s: %w", bm.Name, stepErr)
 		}
-		name := "Benchmark" + bm.Name
+		name := benchName(bm.Name)
 		entry := benchmarkEntry{
 			Name:           name,
 			Iterations:     r.N,
@@ -259,16 +159,10 @@ func runBenchJSON(path, baseline string, scenarios []pplb.TickBenchScenario, std
 			GCPauseTotalNs: after.PauseTotalNs - before.PauseTotalNs,
 			TopologyEpochs: epochs,
 		}
-		delta := ""
-		if prev, ok := base[name]; ok {
-			d := (entry.NsPerOp - prev) / prev * 100
-			entry.DeltaNsPct = &d
-			delta = fmt.Sprintf("  %+.1f%% vs %s", d, rec.Baseline)
-		}
 		rec.Benchmarks = append(rec.Benchmarks, entry)
-		fmt.Fprintf(stdout, "%-32s %12.0f ns/op %8d B/op %6d allocs/op %3d GCs %8.2f MiB heap%s\n",
+		fmt.Fprintf(stdout, "%-46s %12.0f ns/op %8d B/op %6d allocs/op %3d GCs %8.2f MiB heap\n",
 			name, entry.NsPerOp, entry.BytesPerOp, entry.AllocsPerOp,
-			entry.GCCycles, float64(entry.HeapInuseBytes)/(1<<20), delta)
+			entry.GCCycles, float64(entry.HeapInuseBytes)/(1<<20))
 	}
 	nsByName := make(map[string]float64, len(rec.Benchmarks))
 	for _, e := range rec.Benchmarks {
@@ -277,7 +171,7 @@ func runBenchJSON(path, baseline string, scenarios []pplb.TickBenchScenario, std
 	for _, sw := range pplb.ParallelSweeps() {
 		e := sweepEntry{Sweep: sw.Name, NsPerOpByWorkers: make(map[string]float64, len(sw.Scenarios))}
 		for w, scen := range sw.Scenarios {
-			if ns, ok := nsByName["Benchmark"+scen]; ok {
+			if ns, ok := nsByName[benchName(scen)]; ok {
 				e.NsPerOpByWorkers[strconv.Itoa(w)] = ns
 			}
 		}
@@ -286,7 +180,7 @@ func runBenchJSON(path, baseline string, scenarios []pplb.TickBenchScenario, std
 		}
 		if w1, w8 := e.NsPerOpByWorkers["1"], e.NsPerOpByWorkers["8"]; w1 > 0 && w8 > 0 {
 			e.ParallelSpeedup = w1 / w8
-			fmt.Fprintf(stdout, "sweep %-26s %12.2fx W8-vs-W1 speedup (GOMAXPROCS=%d)\n",
+			fmt.Fprintf(stdout, "sweep %-40s %12.2fx W8-vs-W1 speedup (GOMAXPROCS=%d)\n",
 				sw.Name, e.ParallelSpeedup, rec.GOMAXPROCS)
 		}
 		rec.ParallelSweeps = append(rec.ParallelSweeps, e)
@@ -319,12 +213,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	out := fs.String("out", "", "also write the reports to this file")
 	checksPath := fs.String("checks", "", "write a machine-readable JSON summary of all checks to this file")
 	benchJSON := fs.String("benchjson", "", "run the engine tick micro-benchmarks and write a machine-readable record to this file")
-	baseline := fs.String("baseline", "", "trajectory BENCH_*.json to diff -benchjson results against (default: highest BENCH_PR*.json in the working directory; \"none\" disables)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile taken at exit to this file")
 	list := fs.Bool("list", false, "list available experiments and exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: pplb-bench [-full] [-list] [-out FILE] [-checks FILE] [-benchjson FILE] [-baseline FILE] [-cpuprofile FILE] [-memprofile FILE] [experiment ...]\n\nexperiments:\n")
+		fmt.Fprintf(stderr, "usage: pplb-bench [-full] [-list] [-out FILE] [-checks FILE] [-benchjson FILE] [-cpuprofile FILE] [-memprofile FILE] [experiment ...]\n\nexperiments:\n")
 		for _, d := range pplb.ExperimentDescriptions() {
 			fmt.Fprintf(stderr, "  %s\n", d)
 		}
@@ -375,7 +268,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, *baseline, pplb.TickBenchScenarios(), stdout); err != nil {
+		if err := runBenchJSON(*benchJSON, pplb.TickBenchScenarios(), stdout); err != nil {
 			fmt.Fprintf(stderr, "pplb-bench: %v\n", err)
 			return 1
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -90,25 +91,15 @@ func tinyScenario(name string) pplb.TickBenchScenario {
 	}
 }
 
-// TestBenchJSONDelta exercises the -benchjson record/delta path against a
-// fabricated baseline trajectory file.
+// TestBenchJSONDelta checks the -benchjson record: schema, host metadata
+// and one entry per scenario under its go-test benchmark name, with no
+// baseline or per-entry delta left in it.
 func TestBenchJSONDelta(t *testing.T) {
 	dir := t.TempDir()
-	baseline := filepath.Join(dir, "BENCH_PR0.json")
-	// The baseline carries one matching benchmark (delta expected) and one
-	// unrelated name (no delta for the scenario it doesn't cover).
-	if err := os.WriteFile(baseline, []byte(`{
-  "benchmarks": [
-    {"name": "BenchmarkTickTiny", "after": {"ns_per_op": 1000}},
-    {"name": "BenchmarkSomethingElse", "after": {"ns_per_op": 5}}
-  ]
-}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	outPath := filepath.Join(dir, "bench.json")
 	var stdout bytes.Buffer
-	scenarios := []pplb.TickBenchScenario{tinyScenario("TickTiny"), tinyScenario("TickTinyUnbaselined")}
-	if err := runBenchJSON(outPath, baseline, scenarios, &stdout); err != nil {
+	scenarios := []pplb.TickBenchScenario{tinyScenario("TickTiny"), tinyScenario("TickTinyTwo")}
+	if err := runBenchJSON(outPath, scenarios, &stdout); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(outPath)
@@ -119,33 +110,58 @@ func TestBenchJSONDelta(t *testing.T) {
 	if err := json.Unmarshal(data, &rec); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Schema != "pplb-bench/6" {
+	if rec.Schema != "pplb-bench/7" {
 		t.Fatalf("schema %q", rec.Schema)
+	}
+	if rec.GoVersion == "" || rec.GOOS == "" || rec.GOARCH == "" || rec.GOMAXPROCS <= 0 || rec.NumCPU <= 0 {
+		t.Fatalf("host metadata missing: %+v", rec)
 	}
 	if len(rec.ParallelSweeps) != 0 {
 		t.Fatalf("tiny scenarios cover no sweep, got %+v", rec.ParallelSweeps)
 	}
-	if rec.GOMAXPROCS <= 0 || rec.NumCPU <= 0 {
-		t.Fatalf("host metadata missing: gomaxprocs=%d num_cpu=%d", rec.GOMAXPROCS, rec.NumCPU)
+	if len(rec.Benchmarks) != len(scenarios) {
+		t.Fatalf("%d benchmarks recorded, want %d", len(rec.Benchmarks), len(scenarios))
 	}
-	if rec.Baseline != baseline {
-		t.Fatalf("baseline %q, want %q", rec.Baseline, baseline)
+	for i, want := range []string{"BenchmarkTick/Tiny", "BenchmarkTick/TinyTwo"} {
+		e := rec.Benchmarks[i]
+		if e.Name != want || e.NsPerOp <= 0 || e.Iterations <= 0 {
+			t.Fatalf("entry %d: %+v, want name %s with positive ns/op and iterations", i, e, want)
+		}
+		if !strings.Contains(stdout.String(), want) {
+			t.Fatalf("%s not printed:\n%s", want, stdout.String())
+		}
 	}
-	if len(rec.Benchmarks) != 2 {
-		t.Fatalf("%d benchmarks recorded, want 2", len(rec.Benchmarks))
+	for _, gone := range []string{`"baseline"`, `"delta_ns_pct"`} {
+		if bytes.Contains(data, []byte(gone)) {
+			t.Fatalf("record still carries %s:\n%s", gone, data)
+		}
 	}
-	covered, uncovered := rec.Benchmarks[0], rec.Benchmarks[1]
-	if covered.Name != "BenchmarkTickTiny" || covered.NsPerOp <= 0 || covered.Iterations <= 0 {
-		t.Fatalf("bad entry: %+v", covered)
+	if strings.Contains(stdout.String(), "% vs ") {
+		t.Fatalf("delta still printed:\n%s", stdout.String())
 	}
-	if covered.DeltaNsPct == nil {
-		t.Fatal("baselined benchmark has no delta")
+}
+
+// TestBenchJSONBaselineErrors pins the error contract: -baseline is no
+// longer a flag, and a scenario that cannot be built fails the run while
+// the already created output is removed rather than left looking like a
+// result.
+func TestBenchJSONBaselineErrors(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-baseline", "x"}, &out, &errb); code != 2 {
+		t.Fatalf("removed -baseline flag: exit %d, want 2", code)
 	}
-	if uncovered.DeltaNsPct != nil {
-		t.Fatalf("unbaselined benchmark got delta %v", *uncovered.DeltaNsPct)
+	dir := t.TempDir()
+	var stdout bytes.Buffer
+	broken := pplb.TickBenchScenario{
+		Name: "TickBroken",
+		New:  func() (*pplb.System, error) { return nil, errors.New("no system") },
 	}
-	if !strings.Contains(stdout.String(), "% vs "+baseline) {
-		t.Fatalf("delta not printed:\n%s", stdout.String())
+	failPath := filepath.Join(dir, "failed.json")
+	if err := runBenchJSON(failPath, []pplb.TickBenchScenario{broken}, &stdout); err == nil || !strings.Contains(err.Error(), "TickBroken") {
+		t.Fatalf("broken scenario: err = %v, want one naming TickBroken", err)
+	}
+	if _, err := os.Stat(failPath); !os.IsNotExist(err) {
+		t.Fatalf("failed run left a record behind (stat err = %v)", err)
 	}
 }
 
@@ -161,7 +177,7 @@ func TestBenchJSONParallelSweeps(t *testing.T) {
 	for _, name := range sweep.Scenarios {
 		scenarios = append(scenarios, tinyScenario(name))
 	}
-	if err := runBenchJSON(outPath, "none", scenarios, &stdout); err != nil {
+	if err := runBenchJSON(outPath, scenarios, &stdout); err != nil {
 		t.Fatal(err)
 	}
 	var rec benchRecord
@@ -191,64 +207,5 @@ func TestBenchJSONParallelSweeps(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "W8-vs-W1 speedup") {
 		t.Fatalf("sweep summary not printed:\n%s", stdout.String())
-	}
-}
-
-// TestBenchJSONBaselineErrors pins the error contract: an explicit missing
-// baseline fails, a missing auto-discovered one is ignored.
-func TestBenchJSONBaselineErrors(t *testing.T) {
-	dir := t.TempDir()
-	outPath := filepath.Join(dir, "bench.json")
-	var stdout bytes.Buffer
-	err := runBenchJSON(outPath, filepath.Join(dir, "missing.json"),
-		[]pplb.TickBenchScenario{tinyScenario("TickTiny")}, &stdout)
-	if err == nil {
-		t.Fatal("explicit missing baseline must error")
-	}
-	if _, statErr := os.Stat(outPath); !os.IsNotExist(statErr) {
-		t.Fatal("failed run left a truncated record behind")
-	}
-	// "none" disables the delta section entirely.
-	if err := runBenchJSON(outPath, "none",
-		[]pplb.TickBenchScenario{tinyScenario("TickTiny")}, &stdout); err != nil {
-		t.Fatal(err)
-	}
-	var rec benchRecord
-	data, _ := os.ReadFile(outPath)
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Baseline != "" || rec.Benchmarks[0].DeltaNsPct != nil {
-		t.Fatalf("baseline \"none\" still produced deltas: %+v", rec)
-	}
-}
-
-func TestFindBaseline(t *testing.T) {
-	dir := t.TempDir()
-	t.Chdir(dir)
-	if got := findBaseline(); got != "" {
-		t.Fatalf("empty dir found baseline %q", got)
-	}
-	for _, name := range []string{"BENCH_PR1.json", "BENCH_PR10.json", "BENCH_PR2.json"} {
-		if err := os.WriteFile(name, []byte("{}"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := findBaseline(); got != "BENCH_PR10.json" {
-		t.Fatalf("found %q, want BENCH_PR10.json", got)
-	}
-}
-
-func TestSameFile(t *testing.T) {
-	same, err := sameFile("a/b.json", "./a/b.json")
-	if err != nil || !same {
-		t.Fatalf("cleaned paths not recognised as same (%v, %v)", same, err)
-	}
-	same, err = sameFile("a.json", "b.json")
-	if err != nil || same {
-		t.Fatalf("distinct paths reported same (%v, %v)", same, err)
-	}
-	if same, _ := sameFile("", "b.json"); same {
-		t.Fatal("empty path cannot collide")
 	}
 }

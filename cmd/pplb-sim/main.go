@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -27,76 +28,66 @@ import (
 	"pplb/internal/ascii"
 )
 
+// parseTopology builds the graph a -topology spec names. It rejects sizes
+// that would build an empty or malformed graph, or one too large for the
+// graph's int32 CSR offsets.
 func parseTopology(spec string) (*pplb.Graph, error) {
-	name, arg := spec, ""
-	if i := strings.IndexByte(spec, ':'); i >= 0 {
-		name, arg = spec[:i], spec[i+1:]
-	}
-	dims := func() (int, int, error) {
+	name, arg, _ := strings.Cut(spec, ":")
+	switch name {
+	case "mesh", "torus":
 		var r, c int
 		if _, err := fmt.Sscanf(arg, "%dx%d", &r, &c); err != nil {
-			return 0, 0, fmt.Errorf("bad dimensions %q (want RxC)", arg)
+			return nil, fmt.Errorf("bad dimensions %q (want RxC)", arg)
 		}
-		return r, c, nil
-	}
-	single := func() (int, error) {
-		var n int
-		if _, err := fmt.Sscanf(arg, "%d", &n); err != nil {
-			return 0, fmt.Errorf("bad size %q", arg)
+		if r < 1 || c < 1 {
+			return nil, fmt.Errorf("%s dimensions %q must be at least 1x1", name, arg)
 		}
-		return n, nil
-	}
-	switch name {
-	case "mesh":
-		r, c, err := dims()
-		if err != nil {
-			return nil, err
-		}
-		return pplb.Mesh(r, c), nil
-	case "torus":
-		r, c, err := dims()
-		if err != nil {
-			return nil, err
+		if name == "mesh" {
+			return pplb.Mesh(r, c), nil
 		}
 		return pplb.Torus(r, c), nil
-	case "hypercube":
-		d, err := single()
-		if err != nil {
-			return nil, err
-		}
-		return pplb.Hypercube(d), nil
-	case "ring":
-		n, err := single()
-		if err != nil {
-			return nil, err
-		}
-		return pplb.Ring(n), nil
-	case "star":
-		n, err := single()
-		if err != nil {
-			return nil, err
-		}
-		return pplb.Star(n), nil
-	case "complete":
-		n, err := single()
-		if err != nil {
-			return nil, err
-		}
-		return pplb.Complete(n), nil
-	case "rr":
-		n, err := single()
-		if err != nil {
-			return nil, err
-		}
-		return pplb.RandomRegular(n, 4, 99), nil
-	case "ccc":
-		d, err := single()
-		if err != nil {
-			return nil, err
-		}
-		return pplb.CCC(d), nil
 	}
-	return nil, fmt.Errorf("unknown topology %q (mesh|torus|hypercube|ring|star|complete|rr|ccc)", name)
+	f, ok := sizedTopologies[name]
+	if !ok {
+		return nil, fmt.Errorf("unknown topology %q (mesh|torus|hypercube|ring|star|complete|rr|ccc)", name)
+	}
+	var n int
+	if _, err := fmt.Sscanf(arg, "%d", &n); err != nil {
+		return nil, fmt.Errorf("bad size %q", arg)
+	}
+	if n < f.least {
+		return nil, fmt.Errorf("%s size %d must be at least %d", name, n, f.least)
+	}
+	if f.cube > 0 && (n > 30 || f.cube*n<<n > math.MaxInt32) {
+		return nil, fmt.Errorf("%s dimension %d is too large", name, n)
+	}
+	return f.build(n), nil
+}
+
+// sizedTopologies are the -topology families with one size argument: the
+// smallest valid size and the constructor. A hypercube-like family of
+// dimension d also sets cube = k for its k·d·2^d neighbour slots, which must
+// fit the graph's int32 CSR offsets.
+var sizedTopologies = map[string]struct {
+	least, cube int
+	build       func(n int) *pplb.Graph
+}{
+	"hypercube": {0, 1, pplb.Hypercube},
+	"ring":      {1, 0, pplb.Ring},
+	"star":      {1, 0, pplb.Star},
+	"complete":  {1, 0, pplb.Complete},
+	// Degree 4 must be less than n.
+	"rr":  {5, 0, func(n int) *pplb.Graph { return pplb.RandomRegular(n, 4, 99) }},
+	"ccc": {1, 3, pplb.CCC},
+}
+
+// checkFaults rejects a -faults value that is not a probability, NaN
+// included, rather than letting the link model ignore or clamp it.
+func checkFaults(p float64) error {
+	if !(p >= 0 && p <= 1) {
+		return fmt.Errorf("-faults %v is not a probability in [0, 1]", p)
+	}
+	return nil
 }
 
 func parsePolicy(name string, g *pplb.Graph) (pplb.Policy, error) {
@@ -162,6 +153,9 @@ func main() {
 		os.Exit(1)
 	}
 
+	if err := checkFaults(*faults); err != nil {
+		fail(err)
+	}
 	g, err := parseTopology(*topoFlag)
 	if err != nil {
 		fail(err)

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestParseTopology(t *testing.T) {
 	cases := []struct {
@@ -10,10 +13,12 @@ func TestParseTopology(t *testing.T) {
 		{"mesh:2x3", 6},
 		{"torus:3x3", 9},
 		{"hypercube:3", 8},
+		{"hypercube:0", 1},
 		{"ring:7", 7},
 		{"star:5", 5},
 		{"complete:4", 4},
 		{"rr:10", 10},
+		{"rr:5", 5},
 		{"ccc:3", 24},
 	}
 	for _, c := range cases {
@@ -30,9 +35,27 @@ func TestParseTopology(t *testing.T) {
 func TestParseTopologyErrors(t *testing.T) {
 	for _, spec := range []string{
 		"blob:3", "mesh:3", "mesh:axb", "torus:", "hypercube:x", "nope",
+		// Degenerate sizes: no nodes, or too few for the family.
+		"torus:3x0", "torus:0x0", "mesh:-1x4", "ring:0", "star:0", "complete:0",
+		"hypercube:-1", "rr:4", "ccc:0",
+		// Node or neighbour counts past the int32 CSR offsets.
+		"hypercube:27", "hypercube:40", "ccc:25",
 	} {
 		if _, err := parseTopology(spec); err == nil {
 			t.Fatalf("%s: expected error", spec)
+		}
+	}
+}
+
+func TestCheckFaults(t *testing.T) {
+	for _, p := range []float64{0, 0.2, 1} {
+		if err := checkFaults(p); err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+	}
+	for _, p := range []float64{math.NaN(), -0.1, 2, math.Inf(1)} {
+		if err := checkFaults(p); err == nil {
+			t.Fatalf("%v: expected error", p)
 		}
 	}
 }

@@ -44,7 +44,8 @@ func TestGoldenPPLBTorusRun(t *testing.T) {
 
 func TestGoldenRNGStream(t *testing.T) {
 	// The first outputs of the seeded generator are part of the repo's
-	// reproducibility contract (EXPERIMENTS.md quotes seed-exact numbers).
+	// reproducibility contract (`pplb-bench -full` reproduces the
+	// experiments' numbers seed-exactly).
 	sys, err := NewSystem(Ring(4), NoPolicy(), WithSeed(0))
 	if err != nil {
 		t.Fatal(err)

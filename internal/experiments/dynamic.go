@@ -148,7 +148,7 @@ func Ablations(size Size) *Report {
 	r := &Report{
 		ID:       "E12",
 		Title:    "Design-choice ablations",
-		Artifact: "DESIGN.md design decisions (−inertia, −2l, greedy arbiter, −fault-awareness)",
+		Artifact: "Design choices (−inertia, −2l, greedy arbiter, −fault-awareness)",
 	}
 	rows, cols, ticks := 8, 8, 1000
 	if size == Small {

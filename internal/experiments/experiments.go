@@ -1,10 +1,10 @@
 // Package experiments regenerates every table- and figure-equivalent of the
-// paper (see DESIGN.md §3 for the full index E1–E14). Each experiment
+// paper (see the README's "Experiment index (E1–E14)"). Each experiment
 // returns a Report with the tables/series it produced and a set of
 // programmatic Checks encoding the "shape claims" the paper makes; the
-// benchmark harness and cmd/pplb-bench both run through this package, so a
-// result quoted in EXPERIMENTS.md is always reproducible from one entry
-// point.
+// go-test benchmarks and cmd/pplb-bench both run through this package, so
+// every paper-scale result is reproducible from one entry point,
+// `pplb-bench -full`.
 package experiments
 
 import (
@@ -22,7 +22,7 @@ import (
 )
 
 // Size selects the scale of an experiment: Small for benchmarks and CI,
-// Full for the numbers recorded in EXPERIMENTS.md.
+// Full for the paper-scale numbers of `pplb-bench -full`.
 type Size int
 
 // Experiment scales.

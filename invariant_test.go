@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// withoutSerialCutover disables the parallel engine's adaptive serial
+// cutover, so even the tiny ticks of these small systems take the fused
+// worker path instead of running inline. Results are bit-identical either
+// way; the point is to exercise the fused machinery.
+func withoutSerialCutover() Option { return func(c *sysConfig) { c.sim.SerialCutover = -1 } }
+
 // Load-conservation invariant: at every tick, everything ever injected is
 // accounted for — resident on some node, in flight on some link, or consumed
 // by service. The engine's incremental aggregates (cached queue totals,
@@ -81,7 +87,7 @@ func TestWorkersBitIdentity500Ticks(t *testing.T) {
 			WithServiceRate(0.05),
 			WithSeed(2024),
 			WithWorkers(workers),
-			WithSerialCutover(-1),
+			withoutSerialCutover(),
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -119,7 +125,7 @@ func TestLoadConservationFaultyParallel(t *testing.T) {
 			WithLinks(Links(g, WithUniformFault(0.15), WithUniformLength(2))),
 			WithSeed(7),
 			WithWorkers(workers),
-			WithSerialCutover(-1), // keep the fused advancement path exercised
+			withoutSerialCutover(), // keep the fused advancement path exercised
 			WithObserver(func(s *State) {
 				c := s.Counters()
 				resident := 0.0
@@ -159,8 +165,8 @@ func TestLoadConservationFaultyParallel(t *testing.T) {
 // The production-scale determinism pin: the Torus16384 workload must be
 // bit-identical (counters and every node load) over 500 ticks across
 // Workers ∈ {1, 3, 8} × {incremental, full-sweep} — six engines, one
-// answer. This is the contract that lets the BENCH_PR*.json worker sweeps
-// compare their entries as measurements of the same computation. The
+// answer. This is the contract that lets the worker sweeps of the tick
+// benchmarks compare their entries as measurements of the same computation. The
 // incremental engines keep the default serial cutover, so they start fused
 // (every node pending) and drop to inline ticks as the system converges —
 // the flip itself is under test; the full-sweep engines estimate N work
@@ -233,7 +239,7 @@ func TestHeteroFaultyBurstCCCIdentity(t *testing.T) {
 			WithLinks(Links(g, WithUniformFault(0.1))),
 			WithSeed(31),
 			WithWorkers(workers),
-			WithSerialCutover(-1),
+			withoutSerialCutover(),
 			WithObserver(func(s *State) {
 				c := s.Counters()
 				resident := 0.0

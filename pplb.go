@@ -306,15 +306,6 @@ func WithWorkers(n int) Option { return func(c *sysConfig) { c.sim.Workers = n }
 // and for the harness's active-set soundness twin.
 func WithFullSweep() Option { return func(c *sysConfig) { c.sim.FullSweep = true } }
 
-// WithSerialCutover tunes the adaptive serial cutover of the parallel
-// engine: a tick whose estimated work (pending plans + in-flight transfers
-// + arrivals + resident tasks under service) falls below n runs inline on
-// the calling goroutine with zero worker wakeups. 0 keeps the default
-// threshold, negative disables the cutover so every tick takes the fused
-// parallel path. Purely a scheduling knob — results are bit-identical for
-// any value.
-func WithSerialCutover(n int) Option { return func(c *sysConfig) { c.sim.SerialCutover = n } }
-
 // WithMetricsEvery sets the metrics sampling period in ticks (default 1).
 func WithMetricsEvery(every int) Option { return func(c *sysConfig) { c.every = every } }
 
