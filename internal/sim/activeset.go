@@ -40,6 +40,23 @@ type LocalityDeclarer interface {
 	PlanLocality() Locality
 }
 
+// usesActiveSet reports whether an engine running pol plans incrementally.
+// The active set is sound only for policies whose empty plans are pure
+// functions of neighbourhood state: they must declare that, and a
+// TickPreparer (per-tick global refresh) forfeits it by definition.
+// FullSweep turns it off.
+func usesActiveSet(pol Policy, fullSweep bool) bool {
+	if fullSweep {
+		return false
+	}
+	ld, ok := pol.(LocalityDeclarer)
+	if !ok || ld.PlanLocality() != LocalityNeighborhood {
+		return false
+	}
+	_, prep := pol.(TickPreparer)
+	return !prep
+}
+
 // nodeBits is a bitset over node ids with atomic mutation, because dirty
 // marking crosses shard boundaries (a mutation on one shard dirties
 // neighbours owned by others) and 64-bit words straddle shard ranges. OR and

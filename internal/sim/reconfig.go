@@ -140,15 +140,7 @@ func (e *Engine) Reconfigure(rc Reconfig) error {
 	if rc.Policy != nil {
 		pol = rc.Policy
 	}
-	wantActive := false
-	if !e.cfg.FullSweep {
-		if ld, ok := pol.(LocalityDeclarer); ok && ld.PlanLocality() == LocalityNeighborhood {
-			if _, prep := pol.(TickPreparer); !prep {
-				wantActive = true
-			}
-		}
-	}
-	if wantActive != (s.active != nil) {
+	if usesActiveSet(pol, e.cfg.FullSweep) != (s.active != nil) {
 		return errors.New("sim: Reconfig.Policy would change the planning mode (active-set vs full-sweep)")
 	}
 
@@ -196,51 +188,20 @@ func (e *Engine) Reconfigure(rc Reconfig) error {
 		sh.truncate(0)
 	}
 
-	// 2. Swap in the new topology and regrow the per-node structures. The
-	// queue slice is extended (existing queues move by value: their buffers,
-	// heads and cached totals carry over untouched), the shard partition is
-	// recomputed over the new id space, and the link/in-flight state is
-	// reset for exact rebuild below.
-	if n > oldN {
-		queues := make([]taskmodel.Queue, n)
-		copy(queues, s.queues)
-		for v := oldN; v < n; v++ {
-			queues[v].Init(st, v)
-		}
-		s.queues = queues
-		planBuf := make([][]Move, n)
-		copy(planBuf, e.planBuf)
-		e.planBuf = planBuf
-		planEdge := make([][]int32, n)
-		copy(planEdge, e.planEdge)
-		e.planEdge = planEdge
-		s.nodeShard = make([]uint8, n)
-	}
+	// 2. Swap in the new topology and lay the engine out over it: existing
+	// queues move by value (their buffers, heads and cached totals carry
+	// over untouched), the link, in-flight and occupancy state is reset for
+	// exact rebuild below, and the active set restarts with every node
+	// activated — the one canonical state both the incremental and
+	// full-sweep engines agree on across a rebuild.
 	s.g = rc.Graph
 	s.links = rc.Links
 	s.speeds = speeds
 	e.cfg.Graph = rc.Graph
 	e.cfg.Links = rc.Links
 	e.cfg.Speeds = speeds
-	if rc.Policy != nil {
-		e.cfg.Policy = rc.Policy
-	}
-	for k := 0; k <= numShards; k++ {
-		s.shardLo[k] = k * n / numShards
-	}
-	for k := 0; k < numShards; k++ {
-		for v := s.shardLo[k]; v < s.shardLo[k+1]; v++ {
-			s.nodeShard[v] = uint8(k)
-		}
-	}
-	s.linkBusy = make([]bool, rc.Graph.NumEdges())
-	s.inflightTo = make([]float64, n)
-	s.inflightStamp = make([]int32, n)
-	s.inflightEpoch = 1
-	s.inflightLoad = 0
-	for k := range e.parts {
-		e.parts[k].inflightTouched = e.parts[k].inflightTouched[:0]
-	}
+	e.cfg.Policy = pol
+	e.layout()
 
 	// 3. Deliver the recalls (canonical transfer order), then drain the
 	// queues of dead nodes in ascending node order, redistributing each
@@ -278,27 +239,14 @@ func (e *Engine) Reconfigure(rc Reconfig) error {
 	// 4. Rebuild the derived indexes exactly: occupancy, per-shard task
 	// counts, the transfer shards (push order = canonical pre-reconfig
 	// order), link-busy flags and the in-flight aggregates.
-	s.occupied = newNodeBits(n)
-	for k := range s.shardTasks {
-		s.shardTasks[k].n = 0
-	}
-	for v := 0; v < n; v++ {
-		if l := s.queues[v].Len(); l > 0 {
-			s.shardTasks[s.nodeShard[v]].n += int64(l)
-			s.occupied.set(v)
-		}
-	}
+	s.reindex()
 	for _, r := range kept {
-		k := s.nodeShard[r.to]
-		s.shards[k].push(r)
+		s.shards[s.nodeShard[r.to]].push(r)
 		s.linkBusy[r.edge] = true
 		load := st.Load(r.task)
 		s.inflightTo[r.to] += load
 		s.inflightLoad += load
-		if s.inflightStamp[r.to] != s.inflightEpoch {
-			s.inflightStamp[r.to] = s.inflightEpoch
-			e.parts[k].inflightTouched = append(e.parts[k].inflightTouched, r.to)
-		}
+		e.touchInflight(r.to)
 	}
 
 	// 5. Inertia records carry the node a task was delivered to; recalls and
@@ -313,14 +261,6 @@ func (e *Engine) Reconfigure(rc Reconfig) error {
 		mrs = append(mrs, movingRec{h: mr.h, id: mr.id, node: int32(st.Node(mr.h))})
 	}
 	s.movingResident = mrs
-
-	// 6. The active set restarts from scratch over the new id space:
-	// activating everything is the one canonical state both the incremental
-	// and full-sweep engines agree on across a rebuild.
-	if s.active != nil {
-		s.active = newActiveSet(n, &s.shardLo)
-		s.active.activateAll()
-	}
 
 	hasDead := len(rc.Dead) > 0
 	if hasDead {

@@ -628,34 +628,15 @@ func New(cfg Config) (*Engine, error) {
 	if !(cfg.ServiceRate >= 0) || math.IsInf(cfg.ServiceRate, 1) {
 		return nil, fmt.Errorf("sim: ServiceRate %v is not finite and non-negative", cfg.ServiceRate)
 	}
-	n := cfg.Graph.N()
 	s := &State{
-		g:             cfg.Graph,
-		links:         cfg.Links,
-		tgraph:        cfg.TaskGraph,
-		res:           cfg.Resources,
-		tasks:         taskmodel.NewStore(),
-		queues:        make([]taskmodel.Queue, n),
-		linkBusy:      make([]bool, cfg.Graph.NumEdges()),
-		inflightTo:    make([]float64, n),
-		inflightStamp: make([]int32, n),
-		inflightEpoch: 1,
-		nodeShard:     make([]uint8, n),
-		speeds:        cfg.Speeds,
-		occupied:      newNodeBits(n),
+		g:      cfg.Graph,
+		links:  cfg.Links,
+		tgraph: cfg.TaskGraph,
+		res:    cfg.Resources,
+		tasks:  taskmodel.NewStore(),
+		speeds: cfg.Speeds,
 	}
 	s.view.s = s
-	for v := range s.queues {
-		s.queues[v].Init(s.tasks, v)
-	}
-	for k := 0; k <= numShards; k++ {
-		s.shardLo[k] = k * n / numShards
-	}
-	for k := 0; k < numShards; k++ {
-		for v := s.shardLo[k]; v < s.shardLo[k+1]; v++ {
-			s.nodeShard[v] = uint8(k)
-		}
-	}
 	base := rng.New(cfg.Seed)
 	e := &Engine{
 		cfg:        cfg,
@@ -663,9 +644,8 @@ func New(cfg Config) (*Engine, error) {
 		planBase:   base.Split(1),
 		faultBase:  base.Split(2),
 		arrivalRNG: base.Split(3),
-		planBuf:    make([][]Move, n),
-		planEdge:   make([][]int32, n),
 	}
+	e.layout()
 	e.runPlanFilter = e.planFilterShard
 	e.runApply = e.applyShard
 	e.runCommitMoves = e.commitMovesShard
@@ -673,17 +653,6 @@ func New(cfg Config) (*Engine, error) {
 	e.runCommitBounces = e.commitBouncesShard
 	e.runPlanFilterSub = func(i int, r *rng.RNG) { e.planFilterShard(e.fanShards[i], r) }
 	e.runServiceSub = func(i int, r *rng.RNG) { e.serviceShard(e.fanShards[i], r) }
-	// The active set is sound only for policies whose empty plans are pure
-	// functions of neighbourhood state: they must declare that, and a
-	// TickPreparer (per-tick global refresh) forfeits it by definition.
-	if !cfg.FullSweep {
-		if ld, ok := cfg.Policy.(LocalityDeclarer); ok && ld.PlanLocality() == LocalityNeighborhood {
-			if _, prep := cfg.Policy.(TickPreparer); !prep {
-				s.active = newActiveSet(n, &s.shardLo)
-				s.active.activateAll()
-			}
-		}
-	}
 	e.cutover = cfg.SerialCutover
 	switch {
 	case e.cutover == 0:
@@ -706,6 +675,71 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	return e, nil
+}
+
+// layout sizes every per-node structure to the current graph and resets the
+// state derived from the topology. Per-node slices grow to exactly N by
+// make+copy — append growth would over-allocate by up to a quarter at 1M
+// nodes — carrying existing queues and plan buffers over by value. The shard
+// partition is recomputed; link-busy flags, the in-flight aggregates and the
+// occupancy index start empty; and the active set, when the policy plans
+// incrementally, starts with every node activated. New, Reconfigure and
+// Restore all lay the engine out here.
+func (e *Engine) layout() {
+	s := e.state
+	n := s.g.N()
+	if old := len(s.queues); n > old {
+		queues := make([]taskmodel.Queue, n)
+		copy(queues, s.queues)
+		for v := old; v < n; v++ {
+			queues[v].Init(s.tasks, v)
+		}
+		s.queues = queues
+		planBuf := make([][]Move, n)
+		copy(planBuf, e.planBuf)
+		e.planBuf = planBuf
+		planEdge := make([][]int32, n)
+		copy(planEdge, e.planEdge)
+		e.planEdge = planEdge
+		s.nodeShard = make([]uint8, n)
+	}
+	for k := 0; k <= numShards; k++ {
+		s.shardLo[k] = k * n / numShards
+	}
+	for k := 0; k < numShards; k++ {
+		for v := s.shardLo[k]; v < s.shardLo[k+1]; v++ {
+			s.nodeShard[v] = uint8(k)
+		}
+	}
+	s.linkBusy = make([]bool, s.g.NumEdges())
+	s.inflightTo = make([]float64, n)
+	s.inflightStamp = make([]int32, n)
+	s.inflightEpoch = 1
+	s.inflightLoad = 0
+	for k := range e.parts {
+		e.parts[k].inflightTouched = e.parts[k].inflightTouched[:0]
+	}
+	s.occupied = newNodeBits(n)
+	for k := range s.shardTasks {
+		s.shardTasks[k].n = 0
+	}
+	s.active = nil
+	if usesActiveSet(e.cfg.Policy, e.cfg.FullSweep) {
+		s.active = newActiveSet(n, &s.shardLo)
+		s.active.activateAll()
+	}
+}
+
+// reindex fills the occupancy index that layout left empty from the queues,
+// for callers that refill queues without noteTaskAdded: the Reconfigure
+// drains and the snapshot decode.
+func (s *State) reindex() {
+	for v := range s.queues {
+		if l := s.queues[v].Len(); l > 0 {
+			s.shardTasks[s.nodeShard[v]].n += int64(l)
+			s.occupied.set(v)
+		}
+	}
 }
 
 // checkSpeeds rejects any speed that is not finite and positive: a NaN or
@@ -1158,10 +1192,7 @@ func (e *Engine) commitOutboxes(j int) {
 			sh.push(recs[i])
 			to := recs[i].to
 			s.inflightTo[to] += s.tasks.Load(recs[i].task)
-			if s.inflightStamp[to] != s.inflightEpoch {
-				s.inflightStamp[to] = s.inflightEpoch
-				e.parts[j].inflightTouched = append(e.parts[j].inflightTouched, to)
-			}
+			e.touchInflight(to)
 		}
 		e.parts[k].out[j] = recs[:0]
 	}
@@ -1369,12 +1400,21 @@ func (e *Engine) reduce() {
 				to := sh.to[i]
 				s.inflightTo[to] += load
 				s.inflightLoad += load
-				if s.inflightStamp[to] != s.inflightEpoch {
-					s.inflightStamp[to] = s.inflightEpoch
-					e.parts[k].inflightTouched = append(e.parts[k].inflightTouched, to)
-				}
+				e.touchInflight(to)
 			}
 		}
+	}
+}
+
+// touchInflight records node to on its shard's touched list the first time
+// its inflightTo entry changes in the current epoch, so the next reset
+// zeroes it. Runs single-threaded or on the worker owning to's shard.
+func (e *Engine) touchInflight(to int32) {
+	s := e.state
+	if s.inflightStamp[to] != s.inflightEpoch {
+		s.inflightStamp[to] = s.inflightEpoch
+		p := &e.parts[s.nodeShard[to]]
+		p.inflightTouched = append(p.inflightTouched, to)
 	}
 }
 

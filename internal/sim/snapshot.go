@@ -568,11 +568,8 @@ func (e *Engine) restoreBody(r *snapReader) error {
 			return r.err
 		}
 		s.queues[v].Restore(hbuf, total)
-		if ln := s.queues[v].Len(); ln > 0 {
-			s.shardTasks[s.nodeShard[v]].n += int64(ln)
-			s.occupied.set(v)
-		}
 	}
+	s.reindex()
 
 	// Transfer shards.
 	for k := range s.shards {
@@ -635,9 +632,7 @@ func (e *Engine) restoreBody(r *snapReader) error {
 		}
 		prev = v
 		s.inflightTo[v] = x
-		s.inflightStamp[v] = s.inflightEpoch
-		k := s.nodeShard[v]
-		e.parts[k].inflightTouched = append(e.parts[k].inflightTouched, int32(v))
+		e.touchInflight(int32(v))
 	}
 
 	// Inertia records.

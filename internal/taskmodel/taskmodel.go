@@ -7,6 +7,9 @@
 //     is the communication weight between tasks i and j.
 //   - Resources ("R" in the paper, |L|x|V|): task-to-node resource affinity.
 //
+// T and R share one task-keyed sparse matrix (columns are task ids for T,
+// node ids for R): one edit view, one lazy rebuild, one row lookup.
+//
 // The paper uses "task" and "load" interchangeably; so does this package —
 // a task is a unit of load from the balancer's point of view.
 //
@@ -24,7 +27,7 @@ package taskmodel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -323,38 +326,142 @@ func (s *Store) RestoreSnapshot(slots []SlotState, free []Handle, idBound ID) er
 	return nil
 }
 
-// Graph is the task-dependency graph T: Weight(a,b) is the communication
-// demand between tasks a and b. The zero value (or nil pointer) is an empty
-// graph, which every accessor treats as "no dependencies".
-//
-// Internally the graph keeps two representations: a map-of-maps edit view
-// that SetDep mutates, and a flat CSR-style adjacency (sorted rows of
-// neighbour ids and weights plus per-row weight sums) that read accessors
-// use. When the id universe is compact — the engine's sequential ids — the
-// row index is a dense slice rather than a map, so the µs hot path never
-// hashes. The flat form is rebuilt lazily on the first read after a
-// mutation; reads on a clean graph touch only immutable slices, so
-// concurrent readers (the parallel planning fan-out) are safe as long as
-// nobody mutates the graph mid-tick. Summation order over a row is ascending
-// id, which also makes µs float arithmetic independent of map iteration
-// order.
-type Graph struct {
-	w     map[ID]map[ID]float64
+// denseSlack bounds how much larger than the row count the dense id→row
+// index may be: engine ids are sequential, so the index stays near-full;
+// a pathological sparse id universe falls back to binary search.
+const denseSlack = 1024
+
+// sparse is the task-keyed sparse matrix behind both T (columns are task
+// ids) and R (columns are node ids). It keeps two representations: a
+// map-of-maps edit view that set mutates, and a flat form — rows sorted by
+// task id, each row's columns ascending with aligned weights — that reads
+// use. The flat form is rebuilt lazily on the first read after a mutation;
+// reads on a clean matrix touch only immutable slices, so concurrent readers
+// (the parallel planning fan-out) are safe as long as nobody mutates the
+// matrix mid-tick. When the row ids are compact — the engine's sequential
+// ids — the row index is a dense slice, so the µs hot path never hashes or
+// searches for its row. The zero value is an empty matrix.
+type sparse[C ID | int32] struct {
+	edit  map[ID]map[C]float64
 	dirty atomic.Bool
 	mu    sync.Mutex // serialises rebuilds
 
-	// CSR adjacency, valid while !dirty.
-	rowOf    map[ID]int32
-	rowDense []int32 // dense id→row fast path (-1 = no row); nil when ids sparse
+	// Flat form, valid while !dirty.
+	ids      []ID    // row ids, ascending
+	rowDense []int32 // dense id→row index (-1 = no row); nil when ids are sparse
 	rowStart []int32
-	cols     []ID
+	cols     []C
 	wts      []float64
-	rowSum   []float64
-	numDeps  int
 }
 
+// set records entry (a, c); weight 0 removes it. Not safe for use
+// concurrently with readers.
+func (m *sparse[C]) set(a ID, c C, weight float64) {
+	if weight == 0 {
+		if row := m.edit[a]; row != nil {
+			delete(row, c)
+			if len(row) == 0 {
+				delete(m.edit, a)
+			}
+		}
+	} else {
+		if m.edit == nil {
+			m.edit = make(map[ID]map[C]float64)
+		}
+		row := m.edit[a]
+		if row == nil {
+			row = make(map[C]float64)
+			m.edit[a] = row
+		}
+		row[c] = weight
+	}
+	m.dirty.Store(true)
+}
+
+// ensure rebuilds the flat form if mutations are pending.
+func (m *sparse[C]) ensure() {
+	if !m.dirty.Load() {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.dirty.Load() {
+		return
+	}
+	ids := make([]ID, 0, len(m.edit))
+	total := 0
+	for a, row := range m.edit {
+		ids = append(ids, a)
+		total += len(row)
+	}
+	slices.Sort(ids)
+	rowStart := make([]int32, len(ids)+1)
+	cols := make([]C, 0, total)
+	wts := make([]float64, 0, total)
+	for r, a := range ids {
+		row := m.edit[a]
+		start := len(cols)
+		for c := range row {
+			cols = append(cols, c)
+		}
+		slices.Sort(cols[start:])
+		for _, c := range cols[start:] {
+			wts = append(wts, row[c])
+		}
+		rowStart[r+1] = int32(len(cols))
+	}
+	var dense []int32
+	if n := len(ids); n > 0 && ids[0] >= 0 && int64(ids[n-1]) <= int64(4*n+denseSlack) {
+		dense = make([]int32, ids[n-1]+1)
+		for i := range dense {
+			dense[i] = -1
+		}
+		for r, a := range ids {
+			dense[a] = int32(r)
+		}
+	}
+	m.ids, m.rowDense, m.rowStart, m.cols, m.wts = ids, dense, rowStart, cols, wts
+	m.dirty.Store(false)
+}
+
+// row returns row a as ascending columns and aligned weights (nil when a has
+// no entries).
+func (m *sparse[C]) row(a ID) ([]C, []float64) {
+	m.ensure()
+	var r int
+	if m.rowDense != nil {
+		if a < 0 || int64(a) >= int64(len(m.rowDense)) || m.rowDense[a] < 0 {
+			return nil, nil
+		}
+		r = int(m.rowDense[a])
+	} else {
+		var ok bool
+		if r, ok = slices.BinarySearch(m.ids, a); !ok {
+			return nil, nil
+		}
+	}
+	lo, hi := m.rowStart[r], m.rowStart[r+1]
+	return m.cols[lo:hi], m.wts[lo:hi]
+}
+
+// at returns entry (a, c), 0 when absent.
+func (m *sparse[C]) at(a ID, c C) float64 {
+	cols, wts := m.row(a)
+	if i, ok := slices.BinarySearch(cols, c); ok {
+		return wts[i]
+	}
+	return 0
+}
+
+// Graph is the task-dependency graph T: Weight(a,b) is the communication
+// demand between tasks a and b, stored symmetrically in a sparse matrix.
+// The zero value (or nil pointer) is an empty graph, which every accessor
+// treats as "no dependencies". Summation order over a row is ascending id,
+// which makes µs float arithmetic independent of map iteration order.
+type Graph struct{ m sparse[ID] }
+
 // NewGraph returns an empty dependency graph.
-func NewGraph() *Graph { return &Graph{w: make(map[ID]map[ID]float64)} }
+func NewGraph() *Graph { return &Graph{} }
 
 // SetDep records a symmetric dependency of the given weight between a and b.
 // Setting weight 0 removes the dependency. Self-dependencies are ignored.
@@ -364,165 +471,36 @@ func (g *Graph) SetDep(a, b ID, weight float64) {
 	if a == b || g == nil {
 		return
 	}
-	if g.w == nil {
-		g.w = make(map[ID]map[ID]float64)
-	}
-	set := func(x, y ID) {
-		if weight == 0 {
-			if m := g.w[x]; m != nil {
-				delete(m, y)
-				if len(m) == 0 {
-					delete(g.w, x)
-				}
-			}
-			return
-		}
-		m := g.w[x]
-		if m == nil {
-			m = make(map[ID]float64)
-			g.w[x] = m
-		}
-		m[y] = weight
-	}
-	set(a, b)
-	set(b, a)
-	g.dirty.Store(true)
-}
-
-// denseSlack bounds how much larger than the row count the dense id→row
-// index may be: engine ids are sequential, so the index stays near-full;
-// a pathological sparse id universe falls back to the map.
-const denseSlack = 1024
-
-// ensure rebuilds the flat adjacency if mutations are pending.
-func (g *Graph) ensure() {
-	if !g.dirty.Load() {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.dirty.Load() {
-		return
-	}
-	ids := make([]ID, 0, len(g.w))
-	total := 0
-	for a, m := range g.w {
-		ids = append(ids, a)
-		total += len(m)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	g.rowOf = make(map[ID]int32, len(ids))
-	g.rowStart = make([]int32, len(ids)+1)
-	g.cols = make([]ID, 0, total)
-	g.wts = make([]float64, 0, total)
-	g.rowSum = make([]float64, len(ids))
-	g.rowDense = nil
-	if n := len(ids); n > 0 && ids[0] >= 0 && int64(ids[n-1]) <= int64(4*n+denseSlack) {
-		g.rowDense = make([]int32, ids[n-1]+1)
-		for i := range g.rowDense {
-			g.rowDense[i] = -1
-		}
-	}
-	for r, a := range ids {
-		g.rowOf[a] = int32(r)
-		if g.rowDense != nil {
-			g.rowDense[a] = int32(r)
-		}
-		row := g.w[a]
-		start := len(g.cols)
-		for b := range row {
-			g.cols = append(g.cols, b)
-		}
-		seg := g.cols[start:]
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
-		sum := 0.0
-		for _, b := range seg {
-			w := row[b]
-			g.wts = append(g.wts, w)
-			sum += w
-		}
-		g.rowSum[r] = sum
-		g.rowStart[r+1] = int32(len(g.cols))
-	}
-	g.numDeps = total / 2
-	g.dirty.Store(false)
-}
-
-// rowIndex resolves task a to its CSR row, preferring the dense index.
-func (g *Graph) rowIndex(a ID) (int32, bool) {
-	if g.rowDense != nil {
-		if a < 0 || int64(a) >= int64(len(g.rowDense)) {
-			return 0, false
-		}
-		r := g.rowDense[a]
-		return r, r >= 0
-	}
-	r, ok := g.rowOf[a]
-	return r, ok
-}
-
-// row returns the CSR row of a as parallel id/weight slices (nil when a has
-// no dependencies).
-func (g *Graph) row(a ID) ([]ID, []float64) {
-	r, ok := g.rowIndex(a)
-	if !ok {
-		return nil, nil
-	}
-	lo, hi := g.rowStart[r], g.rowStart[r+1]
-	return g.cols[lo:hi], g.wts[lo:hi]
+	g.m.set(a, b, weight)
+	g.m.set(b, a, weight)
 }
 
 // Weight returns the dependency weight between a and b (0 when absent).
 func (g *Graph) Weight(a, b ID) float64 {
-	if g == nil || g.w == nil {
+	if g == nil {
 		return 0
 	}
-	g.ensure()
-	cols, wts := g.row(a)
-	i := sort.Search(len(cols), func(k int) bool { return cols[k] >= b })
-	if i < len(cols) && cols[i] == b {
-		return wts[i]
-	}
-	return 0
+	return g.m.at(a, b)
 }
 
 // Deps returns the ids that task a depends on, in ascending order.
 func (g *Graph) Deps(a ID) []ID {
-	if g == nil || g.w == nil {
+	if g == nil {
 		return nil
 	}
-	g.ensure()
-	cols, _ := g.row(a)
-	if len(cols) == 0 {
-		return nil
-	}
+	cols, _ := g.m.row(a)
 	return append([]ID(nil), cols...)
 }
 
-// TotalWeight returns the sum of dependency weights incident to a — the
-// Σ_{x≠l0} T_{k,x} term of the µs formula in §4.2.
-func (g *Graph) TotalWeight(a ID) float64 {
-	if g == nil || g.w == nil {
-		return 0
-	}
-	g.ensure()
-	r, ok := g.rowIndex(a)
-	if !ok {
-		return 0
-	}
-	return g.rowSum[r]
-}
-
 // WeightToQueue returns the summed dependency weight from a to tasks
-// resident in q — the set-valued read with the queue's O(1) dense membership
-// index (two array loads per dependency, no hashing). This is the µs hot
-// path.
+// resident in q — the Σ T term of the µs formula in §4.2, read with the
+// queue's O(1) dense membership index (two array loads per dependency, no
+// hashing). This is the µs hot path.
 func (g *Graph) WeightToQueue(a ID, q *Queue) float64 {
-	if g == nil || g.w == nil || q == nil || q.Len() == 0 {
+	if g == nil || q == nil || q.Len() == 0 {
 		return 0
 	}
-	g.ensure()
-	cols, wts := g.row(a)
+	cols, wts := g.m.row(a)
 	s := 0.0
 	for i, b := range cols {
 		if q.Has(b) {
@@ -534,35 +512,22 @@ func (g *Graph) WeightToQueue(a ID, q *Queue) float64 {
 
 // NumDeps returns the number of dependency edges (each counted once).
 func (g *Graph) NumDeps() int {
-	if g == nil || g.w == nil {
+	if g == nil {
 		return 0
 	}
-	g.ensure()
-	return g.numDeps
+	g.m.ensure()
+	return len(g.m.cols) / 2
 }
 
 // Resources is the R matrix of §4.2: Affinity(task, node) expresses how much
-// the task depends on resources present at the node. The zero value is an
-// empty matrix.
-//
-// Like Graph, Resources keeps the map-of-maps edit view for mutation and a
-// lazily rebuilt CSR (sorted node/weight rows, dense id→row index when ids
-// are compact) for the read path, so the per-candidate Affinity lookups of
-// the planning fan-out never hash.
-type Resources struct {
-	aff   map[ID]map[int]float64
-	dirty atomic.Bool
-	mu    sync.Mutex // serialises rebuilds
-
-	rowOf    map[ID]int32
-	rowDense []int32
-	rowStart []int32
-	nodes    []int32
-	wts      []float64
-}
+// the task depends on resources present at the node. It shares Graph's
+// sparse matrix, with node ids as columns, so the per-candidate Affinity
+// lookups of the planning fan-out never hash. The zero value (or nil
+// pointer) is an empty matrix.
+type Resources struct{ m sparse[int32] }
 
 // NewResources returns an empty resource-affinity matrix.
-func NewResources() *Resources { return &Resources{aff: make(map[ID]map[int]float64)} }
+func NewResources() *Resources { return &Resources{} }
 
 // SetAffinity records the resource affinity of task t to node v; weight 0
 // removes the entry. Not safe for use concurrently with readers.
@@ -570,104 +535,15 @@ func (r *Resources) SetAffinity(t ID, v int, weight float64) {
 	if r == nil {
 		return
 	}
-	if r.aff == nil {
-		r.aff = make(map[ID]map[int]float64)
-	}
-	if weight == 0 {
-		if m := r.aff[t]; m != nil {
-			delete(m, v)
-			if len(m) == 0 {
-				delete(r.aff, t)
-			}
-		}
-	} else {
-		m := r.aff[t]
-		if m == nil {
-			m = make(map[int]float64)
-			r.aff[t] = m
-		}
-		m[v] = weight
-	}
-	r.dirty.Store(true)
-}
-
-// ensure rebuilds the flat affinity rows if mutations are pending.
-func (r *Resources) ensure() {
-	if !r.dirty.Load() {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.dirty.Load() {
-		return
-	}
-	ids := make([]ID, 0, len(r.aff))
-	total := 0
-	for t, m := range r.aff {
-		ids = append(ids, t)
-		total += len(m)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	r.rowOf = make(map[ID]int32, len(ids))
-	r.rowStart = make([]int32, len(ids)+1)
-	r.nodes = make([]int32, 0, total)
-	r.wts = make([]float64, 0, total)
-	r.rowDense = nil
-	if n := len(ids); n > 0 && ids[0] >= 0 && int64(ids[n-1]) <= int64(4*n+denseSlack) {
-		r.rowDense = make([]int32, ids[n-1]+1)
-		for i := range r.rowDense {
-			r.rowDense[i] = -1
-		}
-	}
-	for rr, t := range ids {
-		r.rowOf[t] = int32(rr)
-		if r.rowDense != nil {
-			r.rowDense[t] = int32(rr)
-		}
-		row := r.aff[t]
-		start := len(r.nodes)
-		for v := range row {
-			r.nodes = append(r.nodes, int32(v))
-		}
-		seg := r.nodes[start:]
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
-		for _, v := range seg {
-			r.wts = append(r.wts, row[int(v)])
-		}
-		r.rowStart[rr+1] = int32(len(r.nodes))
-	}
-	r.dirty.Store(false)
+	r.m.set(t, int32(v), weight)
 }
 
 // Affinity returns the resource affinity of task t to node v (0 when absent).
 func (r *Resources) Affinity(t ID, v int) float64 {
-	if r == nil || r.aff == nil {
+	if r == nil {
 		return 0
 	}
-	r.ensure()
-	var row int32
-	if r.rowDense != nil {
-		if t < 0 || int64(t) >= int64(len(r.rowDense)) {
-			return 0
-		}
-		row = r.rowDense[t]
-		if row < 0 {
-			return 0
-		}
-	} else {
-		var ok bool
-		row, ok = r.rowOf[t]
-		if !ok {
-			return 0
-		}
-	}
-	lo, hi := int(r.rowStart[row]), int(r.rowStart[row+1])
-	nodes := r.nodes[lo:hi]
-	i := sort.Search(len(nodes), func(k int) bool { return nodes[k] >= int32(v) })
-	if i < len(nodes) && nodes[i] == int32(v) {
-		return r.wts[lo+i]
-	}
-	return 0
+	return r.m.at(t, int32(v))
 }
 
 // Queue is the multiset of tasks resident on one node, with the cached total

@@ -2,6 +2,8 @@ package taskmodel
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -69,8 +71,8 @@ func TestGraphTotalAndSetWeight(t *testing.T) {
 	g.SetDep(1, 2, 2)
 	g.SetDep(1, 3, 3)
 	g.SetDep(2, 3, 10)
-	if g.TotalWeight(1) != 5 {
-		t.Fatalf("TotalWeight = %v", g.TotalWeight(1))
+	if d := g.Deps(1); !slices.Equal(d, []ID{2, 3}) || g.NumDeps() != 3 {
+		t.Fatalf("Deps(1) = %v, NumDeps = %d", d, g.NumDeps())
 	}
 	st, q := newTestQueue()
 	if w := g.WeightToQueue(1, q); w != 0 {
@@ -88,7 +90,7 @@ func TestGraphTotalAndSetWeight(t *testing.T) {
 
 func TestNilGraphSafe(t *testing.T) {
 	var g *Graph
-	if g.Weight(1, 2) != 0 || g.TotalWeight(1) != 0 || g.NumDeps() != 0 {
+	if g.Weight(1, 2) != 0 || g.NumDeps() != 0 {
 		t.Fatal("nil graph accessors must be safe zeros")
 	}
 	if g.Deps(1) != nil {
@@ -316,17 +318,17 @@ func TestWeightToQueue(t *testing.T) {
 func TestGraphLazyRebuildAfterMutation(t *testing.T) {
 	g := NewGraph()
 	g.SetDep(1, 2, 2)
-	if w := g.TotalWeight(1); w != 2 {
-		t.Fatalf("TotalWeight = %v, want 2", w)
+	if w := g.Weight(1, 2); w != 2 {
+		t.Fatalf("Weight = %v, want 2", w)
 	}
 	// Mutate after a read: the flat adjacency must refresh.
 	g.SetDep(1, 3, 5)
-	if w := g.TotalWeight(1); w != 7 {
-		t.Fatalf("TotalWeight after mutation = %v, want 7", w)
+	if d := g.Deps(1); !slices.Equal(d, []ID{2, 3}) || g.Weight(1, 3) != 5 {
+		t.Fatalf("after mutation: Deps = %v, Weight(1,3) = %v", d, g.Weight(1, 3))
 	}
 	g.SetDep(1, 2, 0)
-	if w := g.TotalWeight(1); w != 5 {
-		t.Fatalf("TotalWeight after removal = %v, want 5", w)
+	if d := g.Deps(1); !slices.Equal(d, []ID{3}) || g.Weight(1, 2) != 0 {
+		t.Fatalf("after removal: Deps = %v, Weight(1,2) = %v", d, g.Weight(1, 2))
 	}
 	if n := g.NumDeps(); n != 1 {
 		t.Fatalf("NumDeps = %d, want 1", n)
@@ -449,5 +451,134 @@ func TestTaskMovedTick(t *testing.T) {
 	st.SetMovedTick(h, 17)
 	if got := st.SlotStateAt(h).MovedTick; got != 17 {
 		t.Fatalf("slot state dropped MovedTick: %d", got)
+	}
+}
+
+// T and R against a plain-map oracle, on a compact id set (dense row index)
+// and on ids spread far enough to turn the dense index off (binary-search
+// row lookup). Every step mutates — set, overwrite, remove or re-add — and
+// then reads every entry back.
+func TestSparseMatchesOracle(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		ids      []ID // ascending
+		resident []ID
+		sparse   bool // every non-empty row set misses the dense-index rule
+	}{
+		{"compact", []ID{0, 1, 2, 3, 5, 8, 13}, []ID{1, 3, 8}, false},
+		{"spread", []ID{-1_000_000_000_000, -3, 5000, 1_000_000, 1_000_000_000_000}, []ID{5000}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes := []int{-2, 0, 3, 1 << 20}
+			absent := ID(4)
+			g, res := NewGraph(), NewResources()
+			wantT := map[[2]ID]float64{}
+			wantR := map[ID]map[int]float64{}
+			st, q := newTestQueue()
+			for _, id := range tc.resident {
+				addTask(st, q, id, 1)
+			}
+			r := rng.New(7)
+			weights := []float64{0, 0.5, 1.25, 3}
+			for step := 0; step < 300; step++ {
+				x, y := tc.ids[r.Intn(len(tc.ids))], tc.ids[r.Intn(len(tc.ids))]
+				w := weights[r.Intn(len(weights))]
+				g.SetDep(x, y, w)
+				if x != y {
+					wantT[[2]ID{x, y}], wantT[[2]ID{y, x}] = w, w
+				}
+				v := nodes[r.Intn(len(nodes))]
+				res.SetAffinity(x, v, w)
+				if wantR[x] == nil {
+					wantR[x] = map[int]float64{}
+				}
+				wantR[x][v] = w
+
+				edges := 0
+				for _, a := range append([]ID{absent}, tc.ids...) {
+					var deps []ID
+					toQueue := 0.0
+					for _, b := range tc.ids { // ascending: the summation order
+						want := wantT[[2]ID{a, b}]
+						if got := g.Weight(a, b); got != want {
+							t.Fatalf("step %d: Weight(%d,%d) = %v, want %v", step, a, b, got, want)
+						}
+						if want != 0 {
+							deps = append(deps, b)
+							if q.Has(b) {
+								toQueue += want
+							}
+						}
+					}
+					edges += len(deps)
+					if got := g.Deps(a); !slices.Equal(got, deps) {
+						t.Fatalf("step %d: Deps(%d) = %v, want %v", step, a, got, deps)
+					}
+					if got := g.WeightToQueue(a, q); got != toQueue {
+						t.Fatalf("step %d: WeightToQueue(%d) = %v, want %v", step, a, got, toQueue)
+					}
+					for _, v := range append([]int{1}, nodes...) {
+						if got, want := res.Affinity(a, v), wantR[a][v]; got != want {
+							t.Fatalf("step %d: Affinity(%d,%d) = %v, want %v", step, a, v, got, want)
+						}
+					}
+				}
+				if got := g.NumDeps(); got != edges/2 {
+					t.Fatalf("step %d: NumDeps = %d, want %d", step, got, edges/2)
+				}
+				if len(g.m.ids) > 0 && (g.m.rowDense == nil) != tc.sparse ||
+					len(res.m.ids) > 0 && (res.m.rowDense == nil) != tc.sparse {
+					t.Fatalf("step %d: row lookup took the wrong path for the %s id set", step, tc.name)
+				}
+			}
+		})
+	}
+}
+
+// The first reads after a mutation race to rebuild the flat form; every
+// goroutine must see the same answers a sequential read gives.
+func TestSparseParallelFirstRead(t *testing.T) {
+	const tasks, readers = 64, 8
+	g, res := NewGraph(), NewResources()
+	st, q := newTestQueue()
+	for id := ID(0); id < tasks; id += 3 {
+		addTask(st, q, id, 1)
+	}
+	readAll := func() []float64 {
+		out := []float64{float64(g.NumDeps())}
+		for a := ID(0); a < tasks; a++ {
+			out = append(out, g.WeightToQueue(a, q), g.Weight(a, (a+1)%tasks), res.Affinity(a, int(a%5)))
+			for _, b := range g.Deps(a) {
+				out = append(out, float64(b))
+			}
+		}
+		return out
+	}
+	r := rng.New(11)
+	for round := 0; round < 20; round++ {
+		for i := 0; i < 50; i++ {
+			a, b := ID(r.Intn(tasks)), ID(r.Intn(tasks))
+			g.SetDep(a, b, float64(r.Intn(4)))
+			res.SetAffinity(a, r.Intn(5), float64(r.Intn(4)))
+		}
+		got := make([][]float64, readers)
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start.Wait()
+				got[i] = readAll()
+			}()
+		}
+		start.Done()
+		wg.Wait()
+		want := readAll()
+		for i := range got {
+			if !slices.Equal(got[i], want) {
+				t.Fatalf("round %d: reader %d saw %v, sequential read %v", round, i, got[i], want)
+			}
+		}
 	}
 }

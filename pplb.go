@@ -325,6 +325,12 @@ func WithObserver(fn func(*State)) Option {
 
 // NewSystem assembles a simulation of policy running on g.
 func NewSystem(g *Graph, policy Policy, opts ...Option) (*System, error) {
+	return assemble(g, policy, opts, sim.New)
+}
+
+// assemble applies opts, puts the metrics collector in front of any
+// observer, and builds the engine with build.
+func assemble(g *Graph, policy Policy, opts []Option, build func(sim.Config) (*sim.Engine, error)) (*System, error) {
 	c := &sysConfig{every: 1}
 	c.sim.Graph = g
 	c.sim.Policy = policy
@@ -339,7 +345,7 @@ func NewSystem(g *Graph, policy Policy, opts ...Option) (*System, error) {
 			prev(s)
 		}
 	}
-	e, err := sim.New(c.sim)
+	e, err := build(c.sim)
 	if err != nil {
 		return nil, err
 	}
@@ -362,25 +368,9 @@ func (s *System) Snapshot() ([]byte, error) { return s.engine.Snapshot() }
 // full task population. The worker count may differ from the snapshotting
 // system's: resume is bit-identical either way.
 func RestoreSystem(g *Graph, policy Policy, snapshot []byte, opts ...Option) (*System, error) {
-	c := &sysConfig{every: 1}
-	c.sim.Graph = g
-	c.sim.Policy = policy
-	for _, o := range opts {
-		o(c)
-	}
-	col := metrics.NewCollector(c.every)
-	prev := c.sim.OnTick
-	c.sim.OnTick = func(s *State) {
-		col.OnTick(s)
-		if prev != nil {
-			prev(s)
-		}
-	}
-	e, err := sim.Restore(snapshot, c.sim)
-	if err != nil {
-		return nil, err
-	}
-	return &System{engine: e, collector: col}, nil
+	return assemble(g, policy, opts, func(cfg sim.Config) (*sim.Engine, error) {
+		return sim.Restore(snapshot, cfg)
+	})
 }
 
 // Reconfigure applies a committed topology change between ticks: tasks on
