@@ -81,6 +81,22 @@ func (b nodeBits) clearBit(v int) {
 	atomic.AndUint64(&b[v>>6], ^(uint64(1) << (uint(v) & 63)))
 }
 
+// rangeWord returns word w with the bits outside the node range [lo, hi)
+// masked off: shard ranges are not 64-aligned, so a boundary word is shared
+// with the neighbouring shard. The load is atomic because that shard's
+// worker may clear its own bits in the shared word concurrently.
+func (b nodeBits) rangeWord(w, lo, hi int) uint64 {
+	word := atomic.LoadUint64(&b[w])
+	base := w << 6
+	if base < lo {
+		word &= ^uint64(0) << uint(lo-base)
+	}
+	if base+64 > hi {
+		word &= 1<<uint(hi-base) - 1
+	}
+	return word
+}
+
 // activeSet is the dirty-tracking core of the incremental planner: a
 // double-buffered pair of node bitsets plus per-shard summary masks.
 //
@@ -192,18 +208,7 @@ func (a *activeSet) recomputePendingMask() uint32 {
 			continue
 		}
 		for w := lo >> 6; w <= (hi-1)>>6; w++ {
-			word := a.pending[w]
-			if word == 0 {
-				continue
-			}
-			base := w << 6
-			if base < lo {
-				word &= ^uint64(0) << uint(lo-base)
-			}
-			if base+64 > hi {
-				word &= 1<<uint(hi-base) - 1
-			}
-			if word != 0 {
+			if a.pending.rangeWord(w, lo, hi) != 0 {
 				m |= 1 << uint(k)
 				break
 			}

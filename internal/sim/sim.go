@@ -53,7 +53,6 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
-	"sync/atomic"
 
 	"pplb/internal/linkmodel"
 	"pplb/internal/rng"
@@ -87,12 +86,13 @@ type Policy interface {
 	Name() string
 
 	// PlanNodeInto appends the moves node v proposes this tick to buf and
-	// returns it (possibly regrown). The engine passes each node's
-	// persistent plan buffer, truncated to length 0, so a policy that only
-	// appends allocates nothing in steady state. It is called once per node
-	// per tick, possibly concurrently; implementations must treat the view
-	// as read-only and draw randomness only from r, which is an independent
-	// deterministic stream per (node, tick).
+	// returns it (possibly regrown). buf is a zero-length slice of the
+	// shard's reusable move buffer, so a policy that only appends allocates
+	// nothing in steady state; it may only append to buf and must not keep
+	// it after the call. It is called once per node per tick, possibly
+	// concurrently; implementations must treat the view as read-only and
+	// draw randomness only from r, which is an independent deterministic
+	// stream per (node, tick).
 	PlanNodeInto(v int, view *View, r *rng.RNG, buf []Move) []Move
 }
 
@@ -543,9 +543,13 @@ type Engine struct {
 	tickFault  rng.RNG // per-tick fault-stream base: faultBase split by tick
 	arrScratch rng.RNG // per-tick arrival stream
 
-	planBuf  [][]Move
-	planEdge [][]int32 // canonical edge id per filtered move, aligned with planBuf
-	seqRNG   rng.RNG   // scratch stream for the inline fan-out paths
+	seqRNG rng.RNG // scratch stream for the inline fan-out paths
+
+	// loClaim[e] is set while the lower endpoint of edge e holds a surviving
+	// claim across it this tick, so the higher endpoint's claim loses. Only
+	// the lower endpoint's shard writes it: set in planning, cleared in
+	// commitMovesShard; the phase barriers order it against applyShard.
+	loClaim []bool
 
 	// Fused worker loop (Workers > 1), created once in New; its workers run
 	// the whole phase sequence of a tick, synchronizing on the pool's phase
@@ -680,8 +684,8 @@ func New(cfg Config) (*Engine, error) {
 // layout sizes every per-node structure to the current graph and resets the
 // state derived from the topology. Per-node slices grow to exactly N by
 // make+copy — append growth would over-allocate by up to a quarter at 1M
-// nodes — carrying existing queues and plan buffers over by value. The shard
-// partition is recomputed; link-busy flags, the in-flight aggregates and the
+// nodes — carrying existing queues over by value. The shard partition is
+// recomputed; link-busy and link-claim flags, the in-flight aggregates and the
 // occupancy index start empty; and the active set, when the policy plans
 // incrementally, starts with every node activated. New, Reconfigure and
 // Restore all lay the engine out here.
@@ -695,12 +699,6 @@ func (e *Engine) layout() {
 			queues[v].Init(s.tasks, v)
 		}
 		s.queues = queues
-		planBuf := make([][]Move, n)
-		copy(planBuf, e.planBuf)
-		e.planBuf = planBuf
-		planEdge := make([][]int32, n)
-		copy(planEdge, e.planEdge)
-		e.planEdge = planEdge
 		s.nodeShard = make([]uint8, n)
 	}
 	for k := 0; k <= numShards; k++ {
@@ -712,6 +710,7 @@ func (e *Engine) layout() {
 		}
 	}
 	s.linkBusy = make([]bool, s.g.NumEdges())
+	e.loClaim = make([]bool, s.g.NumEdges())
 	s.inflightTo = make([]float64, n)
 	s.inflightStamp = make([]int32, n)
 	s.inflightEpoch = 1
@@ -845,8 +844,8 @@ func (e *Engine) Step() {
 
 	// 2+3a. Planning and filtering, fused per shard: each node's proposals
 	// (drawn from its (node, tick) stream) are immediately reduced to the
-	// locally valid claims, and only nodes with surviving claims enter the
-	// shard's active list — later phases never rescan the full node range.
+	// locally valid claims, and only surviving claims enter the shard's flat
+	// move buffer — later phases never rescan the full node range.
 	//
 	// With the active set enabled, only dirty nodes are planned: the swap
 	// freezes everything marked since planning last began as this tick's
@@ -882,7 +881,7 @@ func (e *Engine) Step() {
 	// destination shards' transfer stores in canonical shard order. Skipped
 	// entirely when no node holds a claim — the skip tests only
 	// Workers-independent state, so it cannot perturb determinism.
-	if e.anyActive() {
+	if e.anyClaims() {
 		e.fanOut(numShards, e.runApply)
 		e.fanOut(numShards, e.runCommitMoves)
 		e.clearOutMasks()
@@ -978,8 +977,7 @@ func sortMovesByTask(moves []Move) {
 // link contention is resolved later in applyShard; committing to one claim
 // per task here (rather than reviving a duplicate-task fallback after a
 // lost link contest, as the old sequential sweep could) is what keeps every
-// claim locally decidable. Only nodes with survivors land on the shard's
-// active list.
+// claim locally decidable. Only survivors land in the shard's move buffer.
 func (e *Engine) planFilterShard(k int, r *rng.RNG) {
 	s := e.state
 	p := &e.parts[k]
@@ -988,23 +986,11 @@ func (e *Engine) planFilterShard(k int, r *rng.RNG) {
 	lo, hi := s.shardLo[k], s.shardLo[k+1]
 	if a := s.active; a != nil {
 		// Walk only the set bits of the frozen plan set within this shard's
-		// node range, ascending. Boundary words are masked because shard
-		// ranges are not 64-aligned; plan has no concurrent writers during
-		// the planning fan-out (mutators mark into pending).
+		// node range, ascending (mutators mark into pending meanwhile).
 		for w := lo >> 6; w <= (hi-1)>>6; w++ {
-			word := a.plan[w]
-			if word == 0 {
-				continue
-			}
-			base := w << 6
-			if base < lo {
-				word &= ^uint64(0) << uint(lo-base)
-			}
-			if base+64 > hi {
-				word &= 1<<uint(hi-base) - 1
-			}
+			word := a.plan.rangeWord(w, lo, hi)
 			for word != 0 {
-				v := base + bits.TrailingZeros64(word)
+				v := w<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
 				e.planNode(v, p, r, tickBase)
 			}
@@ -1014,7 +1000,7 @@ func (e *Engine) planFilterShard(k int, r *rng.RNG) {
 			e.planNode(v, p, r, tickBase)
 		}
 	}
-	if len(p.active) > 0 || p.counters.Rejected != rejectedBefore {
+	if len(p.moves) > 0 || p.counters.Rejected != rejectedBefore {
 		p.dirty = true
 	}
 }
@@ -1024,13 +1010,17 @@ func (e *Engine) planFilterShard(k int, r *rng.RNG) {
 func (e *Engine) planNode(v int, p *shardPart, r *rng.RNG, tickBase uint64) {
 	s := e.state
 	e.planBase.SplitInto(tickBase+uint64(v), r)
-	// The node's persistent plan buffer (retired to length 0 after its last
-	// use) is handed to the policy for reuse.
-	moves := e.cfg.Policy.PlanNodeInto(v, s.View(), r, e.planBuf[v][:0])
-	e.planBuf[v] = moves[:0] // keep regrown capacity even on empty plans
+	// The policy appends into the free tail of the shard's move buffer. The
+	// raw plan is then copied onto that tail (a no-op copy unless the policy
+	// regrew the buffer, whose growth the shard thereby keeps) and filtered
+	// there in place.
+	n := len(p.moves)
+	moves := e.cfg.Policy.PlanNodeInto(v, s.View(), r, p.moves[n:])
 	if len(moves) == 0 {
 		return
 	}
+	p.moves = append(p.moves[:n], moves...)
+	moves = p.moves[n:]
 	if s.active != nil {
 		// Deactivation is decided only on a raw-empty plan: any node that
 		// proposed something re-plans next tick even if every proposal is
@@ -1042,7 +1032,6 @@ func (e *Engine) planNode(v int, p *shardPart, r *rng.RNG, tickBase uint64) {
 	}
 	sortMovesByTask(moves)
 	kept := moves[:0]
-	eids := e.planEdge[v][:0]
 	var lastTask taskmodel.ID
 	for _, m := range moves {
 		if m.From != v || m.From == m.To {
@@ -1062,33 +1051,24 @@ func (e *Engine) planNode(v int, p *shardPart, r *rng.RNG, tickBase uint64) {
 			p.counters.Rejected++
 			continue
 		}
-		dup := false
-		for _, eid := range eids {
-			if eid == int32(id) {
-				dup = true // one transfer per link
-				break
-			}
-		}
-		if dup {
-			p.counters.Rejected++
+		if slices.Contains(p.eids[n:], int32(id)) {
+			p.counters.Rejected++ // one transfer per link
 			continue
 		}
+		if m.To > v {
+			e.loClaim[id] = true
+		}
 		kept = append(kept, m)
-		eids = append(eids, int32(id))
+		p.eids = append(p.eids, int32(id))
 		lastTask = m.TaskID
 	}
-	if len(kept) == 0 {
-		return
-	}
-	e.planBuf[v] = kept
-	e.planEdge[v] = eids
-	p.active = append(p.active, int32(v))
+	p.moves = p.moves[:n+len(kept)]
 }
 
-// anyActive reports whether any shard holds surviving claims this tick.
-func (e *Engine) anyActive() bool {
+// anyClaims reports whether any shard holds surviving claims this tick.
+func (e *Engine) anyClaims() bool {
 	for k := range e.parts {
-		if len(e.parts[k].active) > 0 {
+		if len(e.parts[k].moves) > 0 {
 			return true
 		}
 	}
@@ -1113,64 +1093,49 @@ func (e *Engine) clearOutMasks() {
 	}
 }
 
-// opposing reports whether the filtered claims of the lower endpoint include
-// a move across the link towards v (in which case the lower endpoint wins
-// the link).
-func opposing(moves []Move, v int) bool {
-	for i := range moves {
-		if moves[i].To == v {
-			return true
-		}
-	}
-	return false
-}
-
-// applyShard applies each owned node's surviving claims: contested links go
-// to the lower endpoint (deterministic, the first-claimant-wins outcome of
-// a sequential ascending-node sweep), winners leave their queue and become
+// applyShard applies the shard's surviving claims in planning order
+// (ascending node, then task id): a link both endpoints claim goes to the
+// lower endpoint (deterministic, the first-claimant-wins outcome of a
+// sequential ascending-node sweep), winners leave their queue and become
 // transfer records in the outbox of the destination's shard.
 func (e *Engine) applyShard(k int, _ *rng.RNG) {
 	s := e.state
 	st := s.tasks
 	p := &e.parts[k]
-	for _, va := range p.active {
-		v := int(va)
-		moves := e.planBuf[v]
-		eids := e.planEdge[v]
-		for i := range moves {
-			m := &moves[i]
-			if m.To < v && opposing(e.planBuf[m.To], v) {
-				p.counters.Rejected++
-				continue
-			}
-			h := s.queues[v].Remove(m.TaskID)
-			if h < 0 {
-				p.counters.Rejected++ // unreachable: residency checked in filter
-				continue
-			}
-			s.noteTaskRemoved(v)
-			// v's load dropped and link {v, m.To} went busy; both endpoints
-			// and every height-watching neighbour must re-plan. m.To is a
-			// neighbour of v, so one neighbourhood mark covers the link too.
-			e.markDirtyNeighborhood(v)
-			if !math.IsNaN(m.NewFlag) {
-				st.SetFlag(h, m.NewFlag)
-			}
-			eid := eids[i]
-			s.linkBusy[eid] = true // sole winner of this link writes it
-			st.SetMovedTick(h, s.tick)
-			p.inflightD += st.Load(h)
-			dst := s.nodeShard[m.To]
-			p.outMask |= 1 << dst
-			p.out[dst] = append(p.out[dst], transferRec{
-				task:      h,
-				from:      int32(v),
-				to:        int32(m.To),
-				edge:      eid,
-				remaining: int32(s.links.LatencyByEdge(int(eid))),
-				moving:    m.Moving,
-			})
+	for i := range p.moves {
+		m := &p.moves[i]
+		v := m.From // the filter kept only the planning node's own moves
+		eid := p.eids[i]
+		if m.To < v && e.loClaim[eid] {
+			p.counters.Rejected++
+			continue
 		}
+		h := s.queues[v].Remove(m.TaskID)
+		if h < 0 {
+			p.counters.Rejected++ // unreachable: residency checked in filter
+			continue
+		}
+		s.noteTaskRemoved(v)
+		// v's load dropped and link {v, m.To} went busy; both endpoints
+		// and every height-watching neighbour must re-plan. m.To is a
+		// neighbour of v, so one neighbourhood mark covers the link too.
+		e.markDirtyNeighborhood(v)
+		if !math.IsNaN(m.NewFlag) {
+			st.SetFlag(h, m.NewFlag)
+		}
+		s.linkBusy[eid] = true // sole winner of this link writes it
+		st.SetMovedTick(h, s.tick)
+		p.inflightD += st.Load(h)
+		dst := s.nodeShard[m.To]
+		p.outMask |= 1 << dst
+		p.out[dst] = append(p.out[dst], transferRec{
+			task:      h,
+			from:      int32(v),
+			to:        int32(m.To),
+			edge:      eid,
+			remaining: int32(s.links.LatencyByEdge(int(eid))),
+			moving:    m.Moving,
+		})
 	}
 }
 
@@ -1199,18 +1164,18 @@ func (e *Engine) commitOutboxes(j int) {
 }
 
 // commitMovesShard commits the freshly applied transfers destined to shard
-// j's nodes and retires the plan buffers of j's active nodes for the tick.
+// j's nodes, clears the link claims j's nodes made as lower endpoints and
+// empties j's plan buffers for the next tick.
 func (e *Engine) commitMovesShard(j int, _ *rng.RNG) {
 	e.commitOutboxes(j)
 	p := &e.parts[j]
-	for _, v := range p.active {
-		// Retire to length 0, keeping capacity: the buffer is reused by the
-		// next PlanNodeInto call, and a zero-length header is what the
-		// cross-node opposing() read expects from a node with no live plan.
-		e.planBuf[v] = e.planBuf[v][:0]
-		e.planEdge[v] = e.planEdge[v][:0]
+	for i := range p.moves {
+		if p.moves[i].To > p.moves[i].From {
+			e.loClaim[p.eids[i]] = false
+		}
 	}
-	p.active = p.active[:0]
+	p.moves = p.moves[:0]
+	p.eids = p.eids[:0]
 }
 
 // commitBouncesShard commits the transfers that faulted during advancement
@@ -1303,26 +1268,15 @@ func (e *Engine) advanceShard(k int, r *rng.RNG) {
 // serviceShard consumes service capacity on shard k's occupied nodes,
 // collecting completed tasks and the consumed load as shard partials. The
 // occupancy walk visits set bits of the occupied index in ascending node
-// order; boundary words are read atomically because a neighbouring shard's
-// worker may clear its own bits in a straddling word concurrently.
+// order.
 func (e *Engine) serviceShard(k int, _ *rng.RNG) {
 	s := e.state
 	p := &e.parts[k]
 	lo, hi := s.shardLo[k], s.shardLo[k+1]
 	for w := lo >> 6; w <= (hi-1)>>6; w++ {
-		word := atomic.LoadUint64(&s.occupied[w])
-		if word == 0 {
-			continue
-		}
-		base := w << 6
-		if base < lo {
-			word &= ^uint64(0) << uint(lo-base)
-		}
-		if base+64 > hi {
-			word &= 1<<uint(hi-base) - 1
-		}
+		word := s.occupied.rangeWord(w, lo, hi)
 		for word != 0 {
-			v := base + bits.TrailingZeros64(word)
+			v := w<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
 			before := len(p.done)
 			done, consumed := s.queues[v].ConsumeServiceInto(e.cfg.ServiceRate*s.Speed(v), s.tick, p.done)

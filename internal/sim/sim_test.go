@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -225,30 +227,48 @@ func TestIntraNodeLinkClaimCanonicalOrder(t *testing.T) {
 }
 
 func TestOneTransferPerLinkPerTick(t *testing.T) {
-	// Both node 0 and node 1 try to send across the same link on tick 0.
+	// Both node 0 and node 1 try to send across the same link on tick 0; the
+	// lower endpoint wins. On a ring of 4 the two nodes sit in shards 3 and
+	// 7, on a ring of 64 both in shard 0, so the contest is decided across
+	// shards and within one; Workers 4 with the cutover off runs it on the
+	// fused worker loop.
 	p := policyFunc(func(v int, view *View, r *rng.RNG) []Move {
-		if view.Tick() != 0 {
+		if view.Tick() != 0 || v > 1 {
 			return nil
 		}
 		ids := taskIDs(view, v)
 		if len(ids) == 0 {
 			return nil
 		}
-		to := 1 - v
-		if v > 1 {
-			return nil
-		}
-		return []Move{{TaskID: ids[0], From: v, To: to, NewFlag: NaNFlag()}}
+		return []Move{{TaskID: ids[0], From: v, To: 1 - v, NewFlag: NaNFlag()}}
 	})
-	e, _ := New(ringConfig(p, [][]float64{{1}, {1}, {}, {}}))
-	e.Run(1)
-	s := e.State()
-	if s.Counters().Migrations+int64(s.InFlight()) != 1 {
-		t.Fatalf("only one transfer may use a link per tick: migrations=%d inflight=%d",
-			s.Counters().Migrations, s.InFlight())
-	}
-	if s.Counters().Rejected != 1 {
-		t.Fatalf("the second proposal must be rejected, got %d", s.Counters().Rejected)
+	for _, n := range []int{4, 64} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("ring%d/W%d", n, workers), func(t *testing.T) {
+				initial := make([][]float64, n)
+				initial[0], initial[1] = []float64{1}, []float64{1}
+				e, err := New(Config{Graph: topology.NewRing(n), Policy: p, Seed: 1,
+					Initial: initial, Workers: workers, SerialCutover: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				e.Run(1)
+				s := e.State()
+				if s.Counters().Migrations+int64(s.InFlight()) != 1 {
+					t.Fatalf("only one transfer may use a link per tick: migrations=%d inflight=%d",
+						s.Counters().Migrations, s.InFlight())
+				}
+				if s.Counters().Rejected != 1 {
+					t.Fatalf("the second proposal must be rejected, got %d", s.Counters().Rejected)
+				}
+				// Tasks are numbered in node order: node 0 holds task 0.
+				if got := taskIDs(s.View(), 1); !slices.Contains(got, 0) || s.Queue(0).Len() != 0 {
+					t.Fatalf("node 0's claim must win the link: node 1 holds %v, node 0 holds %d tasks",
+						got, s.Queue(0).Len())
+				}
+			})
+		}
 	}
 }
 

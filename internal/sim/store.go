@@ -124,9 +124,15 @@ type shardPartData struct {
 	outMask   uint32 // bit j set when out[j] is non-empty (numShards <= 32)
 	counters  Counters
 	inflightD float64
-	active    []int32            // owned nodes with surviving claims this tick
 	moving    []movingRec        // delivered with inertia this tick
 	done      []taskmodel.Handle // completed by service this tick
+
+	// The surviving claims of this tick's owned nodes in planning order
+	// (ascending node, then task id; Move.From names the node), with the
+	// canonical edge id of each move in the aligned eids. Both are emptied
+	// in commitMovesShard.
+	moves []Move
+	eids  []int32
 
 	// inflightTouched lists this shard's nodes with a non-zero inflightTo
 	// entry since the last aggregate reset (deduplicated by epoch stamp).
