@@ -48,6 +48,7 @@ import (
 	"sync"
 
 	"pplb/internal/arbiter"
+	"pplb/internal/linkmodel"
 	"pplb/internal/rng"
 	"pplb/internal/sim"
 	"pplb/internal/taskmodel"
@@ -194,13 +195,16 @@ func New(cfg Config) *Balancer {
 func (b *Balancer) Name() string { return "pplb" }
 
 // PlanLocality implements sim.LocalityDeclarer: whether PlanNodeInto(v)
-// proposes nothing is decided entirely by v's neighbourhood. Both passes
-// gate every candidate on v's own tasks (load, flag, Moving, Prev,
-// dependency weight to co-located tasks), the heights of v's neighbours, the
-// busy flags of v's incident links, and static configuration (link costs,
-// speeds, resources); the chooser — the only consumer of randomness and of
-// the tick number — is consulted strictly after a non-empty candidate set
-// exists, so an empty plan never depends on it.
+// proposes nothing is decided entirely by v's neighbourhood. The
+// friction-bound exit runs first, before any scratch or chooser use, and
+// reads only v's tasks (loads, Moving), the heights and speeds of v and its
+// neighbours, the busy flags of v's incident links and the link costs. Both
+// planning passes gate every candidate on v's own tasks (load, flag, Moving,
+// Prev, dependency weight to co-located tasks), the heights of v's
+// neighbours, the busy flags of v's incident links, and static configuration
+// (link costs, speeds, resources); the chooser — the only consumer of
+// randomness and of the tick number — is consulted strictly after a
+// non-empty candidate set exists, so an empty plan never depends on it.
 func (b *Balancer) PlanLocality() sim.Locality { return sim.LocalityNeighborhood }
 
 // Config returns the balancer's configuration.
@@ -212,6 +216,30 @@ func (b *Balancer) linkCost(view *sim.View, i, j int) float64 {
 		return view.Links().CostOblivious(i, j)
 	}
 	return view.Links().Cost(i, j)
+}
+
+// edgeCost is linkCost addressed by canonical edge id.
+func (b *Balancer) edgeCost(links *linkmodel.Params, eid int) float64 {
+	if b.cfg.FaultOblivious {
+		return links.CostObliviousByEdge(eid)
+	}
+	return links.CostByEdge(eid)
+}
+
+// stationaryScore is the left side of the stationary rule, tan β =
+// (h(v) − h(j) − adj) / e_ij, for a task of the given load leaving a node of
+// projected height hv (srcDrop = load/s_v) towards a neighbour of projected
+// height hn and speed spdN across a link of cost e_ij. The −2l correction,
+// generalised to heterogeneous speeds, lowers the source surface by L/s_v and
+// raises the destination by L/s_j (both equal L on homogeneous systems, where
+// division by 1.0 is exact). Pass 2 and the friction-bound exit both call it,
+// so the bound is evaluated with exactly the expression it bounds.
+func (b *Balancer) stationaryScore(hv, hn, srcDrop, load, spdN, cost float64) float64 {
+	adj := srcDrop + load/spdN
+	if b.cfg.DisableTransferAdjustment {
+		adj = 0
+	}
+	return (hv - hn - adj) / cost
 }
 
 // MuS returns the static friction of task id on node v (§4.2):
@@ -254,14 +282,82 @@ func (b *Balancer) dampFlag(flag, destHeight float64) float64 {
 
 // PlanNodeInto implements sim.Policy: one tick of PPLB decisions for node v,
 // appended into a caller buffer, so a steady-state planning call allocates
-// nothing.
+// nothing. A node the friction bound proves idle returns in O(degree +
+// tasks) without touching the scratch pool, the sort or the chooser.
+func (b *Balancer) PlanNodeInto(v int, view *sim.View, r *rng.RNG, moves []sim.Move) []sim.Move {
+	if b.plansNothing(v, view) {
+		return moves
+	}
+	return b.planNode(v, view, r, moves)
+}
+
+// plansNothing is the friction-bound exit: it reports whether node v
+// provably proposes no move, so planNode would return an empty plan without
+// drawing from r. It answers true only when
+//
+//   - µs ≡ 0: no T matrix is coupled (TaskGraph nil or CsT 0) and no R
+//     matrix is (Resources nil or CsR 0). T and R weights may be negative,
+//     so a coupled matrix turns the bound off rather than being bounded;
+//   - pass 1 has nothing to do: no resident task is Moving, or inertia is
+//     disabled; and
+//   - on every free incident link, the stationary score of v's lightest
+//     task is not > 0.
+//
+// Then pass 2 starts from the unprojected heights, and a heavier task can
+// only score lower on the same link: adj grows with the load (IEEE division
+// by a positive speed and IEEE addition are monotone), and dividing by a
+// positive cost keeps the order. A link whose cost is not positive (a
+// negative WithCostScale) would reverse it, so such a link turns the bound
+// off. No candidate ever exists, so hv and hn are never updated and the
+// chooser is never reached.
+func (b *Balancer) plansNothing(v int, view *sim.View) bool {
+	if tg := view.TaskGraph(); tg != nil && b.cfg.CsT != 0 {
+		return false
+	}
+	if res := view.Resources(); res != nil && b.cfg.CsR != 0 {
+		return false
+	}
+	tasks := view.TaskHandles(v)
+	if len(tasks) == 0 {
+		return true
+	}
+	st := view.TaskStore()
+	lmin := st.Load(tasks[0])
+	for _, h := range tasks {
+		if st.Moving(h) && !b.cfg.DisableInertia {
+			return false
+		}
+		if l := st.Load(h); l < lmin {
+			lmin = l
+		}
+	}
+	g := view.Graph()
+	eids := g.IncidentEdgeIDs(v)
+	links := view.Links()
+	hv := view.Height(v)
+	srcDrop := lmin / view.Speed(v)
+	for k, j := range g.Neighbors(v) {
+		if view.LinkBusyEdge(eids[k]) {
+			continue
+		}
+		cost := b.edgeCost(links, eids[k])
+		if !(cost > 0) || b.stationaryScore(hv, view.Height(j), srcDrop, lmin, view.Speed(j), cost) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// planNode is the ungated body of PlanNodeInto: both planning passes, run
+// whatever the friction bound says. Tests call it directly to check that
+// bound against the passes it skips.
 //
 // All per-call working state lives in a pooled planScratch; tasks are read
 // through the arena's handle lanes, and candidate neighbours are addressed
 // by their position in Neighbors(v) so the inner loops index dense slices
 // (projected heights, claimed links, link costs by canonical edge id)
 // instead of hashing node ids.
-func (b *Balancer) PlanNodeInto(v int, view *sim.View, r *rng.RNG, moves []sim.Move) []sim.Move {
+func (b *Balancer) planNode(v int, view *sim.View, r *rng.RNG, moves []sim.Move) []sim.Move {
 	tasks := view.TaskHandles(v)
 	if len(tasks) == 0 {
 		return moves
@@ -295,11 +391,7 @@ func (b *Balancer) PlanNodeInto(v int, view *sim.View, r *rng.RNG, moves []sim.M
 		used[k] = false
 		busy[k] = view.LinkBusyEdge(eids[k])
 		spd[k] = view.Speed(j)
-		if b.cfg.FaultOblivious {
-			cost[k] = links.CostObliviousByEdge(eids[k])
-		} else {
-			cost[k] = links.CostByEdge(eids[k])
-		}
+		cost[k] = b.edgeCost(links, eids[k])
 	}
 	spdV := view.Speed(v)
 
@@ -373,20 +465,12 @@ func (b *Balancer) PlanNodeInto(v int, view *sim.View, r *rng.RNG, moves []sim.M
 		muK := b.cfg.Ck0 + b.cfg.CkProp*muS
 		cand := sc.cand[:0]
 		scores := sc.scores[:0]
-		// The −2l correction generalised to heterogeneous speeds: moving
-		// load L lowers the source surface by L/s_i and raises the
-		// destination by L/s_j (both equal L on homogeneous systems, where
-		// division by 1.0 is exact).
 		srcDrop := load / spdV
 		for k := range neighbors {
 			if used[k] || busy[k] {
 				continue
 			}
-			adj := srcDrop + load/spd[k]
-			if b.cfg.DisableTransferAdjustment {
-				adj = 0
-			}
-			tanBeta := (hv - hn[k] - adj) / cost[k]
+			tanBeta := b.stationaryScore(hv, hn[k], srcDrop, load, spd[k], cost[k])
 			if tanBeta > muS {
 				cand = append(cand, k)
 				scores = append(scores, tanBeta-muS)
@@ -453,15 +537,13 @@ func byLoadDescKeys(dst []loadKey, tasks []taskmodel.Handle, st *taskmodel.Store
 	return dst
 }
 
-// FeasibleStationary reports whether the paper's stationary criterion allows
-// moving task h from i to j given the current view, and returns the adjusted
-// gradient. Exposed for tests and the experiment harness.
+// FeasibleStationary reports whether the paper's stationary criterion, as
+// configured, allows moving task h from i to j given the current view, and
+// returns the adjusted gradient. Exposed for tests and the experiment harness.
 func (b *Balancer) FeasibleStationary(view *sim.View, h taskmodel.Handle, i, j int) (float64, bool) {
 	st := view.TaskStore()
 	load := st.Load(h)
-	e := b.linkCost(view, i, j)
-	adjust := load/view.Speed(i) + load/view.Speed(j)
-	tanBeta := (view.Height(i) - view.Height(j) - adjust) / e
+	tanBeta := b.stationaryScore(view.Height(i), view.Height(j), load/view.Speed(i), load, view.Speed(j), b.linkCost(view, i, j))
 	return tanBeta, tanBeta > b.MuS(view, st.ID(h), i)
 }
 

@@ -117,14 +117,6 @@ type activeSet struct {
 
 	planMask    uint32        // shard summary of plan; single-threaded access
 	pendingMask atomic.Uint32 // shard summary of pending; mutators OR into it
-
-	// approxPending estimates |pending| for the adaptive serial cutover:
-	// mark increments it when the read-before-OR saw the bit clear, so two
-	// workers racing on the same node may both count it. The overcount is
-	// harmless — the counter only ever picks an execution path (inline vs
-	// fused), both bit-identical — and it resets to exact zero every
-	// beginTick, so error cannot accumulate across ticks.
-	approxPending atomic.Int64
 }
 
 func newActiveSet(n int, shardLo *[numShards + 1]int) *activeSet {
@@ -136,17 +128,13 @@ func newActiveSet(n int, shardLo *[numShards + 1]int) *activeSet {
 	}
 }
 
-// mark schedules node v (owned by the given shard) for re-planning. The
-// read-before-OR both spares already-set bits a cache-line ownership
-// transfer and feeds the cutover estimate: only a transition from clear is
-// counted (approximately, under racing markers).
+// mark schedules node v (owned by the given shard) for re-planning. Both
+// writes are idempotent ORs behind a read, so a node or shard already marked
+// costs two loads and no cache-line ownership transfer; the marking path
+// writes no shared counter (the cutover estimate counts pending bits between
+// ticks instead).
 func (a *activeSet) mark(v int, shard uint8) {
-	w := &a.pending[v>>6]
-	bit := uint64(1) << (uint(v) & 63)
-	if atomic.LoadUint64(w)&bit == 0 {
-		atomic.OrUint64(w, bit)
-		a.approxPending.Add(1)
-	}
+	a.pending.set(v)
 	sbit := uint32(1) << shard
 	if a.pendingMask.Load()&sbit == 0 {
 		a.pendingMask.Or(sbit)
@@ -159,7 +147,6 @@ func (a *activeSet) mark(v int, shard uint8) {
 func (a *activeSet) beginTick() {
 	a.plan, a.pending = a.pending, a.plan
 	a.planMask = a.pendingMask.Swap(0)
-	a.approxPending.Store(0) // the incoming pending buffer is empty again
 }
 
 // retire zeroes the consumed plan set. Only shards named in planMask can
@@ -192,7 +179,6 @@ func (a *activeSet) activateAll() {
 		}
 	}
 	a.pendingMask.Store(m)
-	a.approxPending.Store(int64(a.n))
 }
 
 // recomputePendingMask derives the per-shard summary mask from the pending
@@ -218,7 +204,8 @@ func (a *activeSet) recomputePendingMask() uint32 {
 }
 
 // pendingCount returns how many nodes are scheduled for the next planning
-// pass. Called between ticks, when no mutators run.
+// pass: a popcount of N/64 words (256 at 16k nodes). Called between ticks,
+// when no mutators run, so the count is exact.
 func (a *activeSet) pendingCount() int {
 	c := 0
 	for _, w := range a.pending {

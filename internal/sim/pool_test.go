@@ -143,6 +143,35 @@ func TestTickWorkEstimateComponents(t *testing.T) {
 	if got := g.tickWorkEstimate(0); got != 40 {
 		t.Fatalf("full-sweep estimate = %d, want N(40); ServiceRate=0 must not count tasks", got)
 	}
+
+	// After fused ticks, in which several workers mark concurrently, the
+	// pending term is exact: it equals the number of nodes the next tick
+	// will plan.
+	p, err := New(Config{
+		Graph:         topology.NewTorus(16, 16),
+		Policy:        localGreedy{},
+		Seed:          1,
+		Initial:       hotspotInitial(256, 512),
+		Workers:       4,
+		SerialCutover: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for tick := 0; tick < 12; tick++ {
+		p.Step()
+		if !p.parTick {
+			t.Fatalf("tick %d ran inline with the cutover disabled", tick)
+		}
+		active := p.State().ActiveNodes()
+		if active == 0 {
+			t.Fatalf("tick %d: no pending nodes; the hotspot should still be spreading", tick)
+		}
+		if got := p.tickWorkEstimate(0) - p.State().InFlight(); got != active {
+			t.Fatalf("tick %d: pending term = %d, want ActiveNodes() = %d", tick, got, active)
+		}
+	}
 }
 
 // BenchmarkFusedDispatchOverhead measures the pure cost of one fused phase

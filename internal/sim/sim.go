@@ -792,18 +792,19 @@ func (e *Engine) RunUntil(pred func(*State) bool, maxTicks int) (int, bool) {
 }
 
 // tickWorkEstimate approximates this tick's work in fan-out work units:
-// nodes to re-plan (the active set's approximate pending count, or all N on
-// a full-sweep engine), transfers to advance, arrivals to inject, and — when
-// service runs — resident tasks as a proxy for the occupancy walk. Every
-// input is O(numShards) or O(1) to read, so the estimate itself never costs
-// a scan. It only ever picks an execution path (inline vs fused), both
-// bit-identical, so approximation error is a performance wobble at the
-// cutover boundary, never a correctness hazard.
+// nodes to re-plan (the exact popcount of the active set's pending bits, or
+// all N on a full-sweep engine), transfers to advance, arrivals to inject,
+// and — when service runs — resident tasks as a proxy for the occupancy
+// walk. The pending popcount reads N/64 words; every other input is
+// O(numShards) or O(1). Step asks only on a parallel engine, between ticks,
+// so the marking path keeps no counter for it. The estimate only ever picks
+// an execution path (inline vs fused), both bit-identical, so its proxies
+// can cost performance at the cutover boundary, never correctness.
 func (e *Engine) tickWorkEstimate(arrivals int) int {
 	s := e.state
 	w := arrivals + s.InFlight()
 	if a := s.active; a != nil {
-		w += int(a.approxPending.Load())
+		w += a.pendingCount()
 	} else {
 		w += s.g.N()
 	}

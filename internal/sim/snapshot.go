@@ -673,9 +673,6 @@ func (e *Engine) restoreBody(r *snapReader) error {
 			return r.err
 		}
 		a.pendingMask.Store(a.recomputePendingMask())
-		// The cutover estimate restarts exact; it is scheduling-only state,
-		// so it is derived rather than encoded (like the mask above).
-		a.approxPending.Store(int64(a.pendingCount()))
 	}
 
 	if r.err != nil {
