@@ -22,7 +22,7 @@ func (fuzzPolicy) Name() string { return "fuzz" }
 
 func (fuzzPolicy) PlanNodeInto(v int, view *View, r *rng.RNG, moves []Move) []Move {
 	st := view.TaskStore()
-	tasks := view.TaskHandles(v)
+	tasks := view.TaskStore().AppendHandles(nil, v)
 	n := view.N()
 	for k := 0; k < 3; k++ {
 		m := Move{From: v, NewFlag: math.NaN()}

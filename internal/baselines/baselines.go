@@ -47,11 +47,12 @@ func (None) PlanNodeInto(_ int, _ *sim.View, _ *rng.RNG, moves []sim.Move) []sim
 // trivially a pure function of anything.
 func (None) PlanLocality() sim.Locality { return sim.LocalityNeighborhood }
 
-// pickTaskUpTo returns the largest resident task with load <= budget, or
-// NoHandle. Deterministic: ties broken towards the lowest id.
-func pickTaskUpTo(st *taskmodel.Store, tasks []taskmodel.Handle, budget float64) taskmodel.Handle {
+// pickTaskUpTo returns the largest task resident at v with load <= budget,
+// or NoHandle. Deterministic: ties broken towards the lowest id.
+func pickTaskUpTo(view *sim.View, v int, budget float64) taskmodel.Handle {
+	st := view.TaskStore()
 	best := taskmodel.NoHandle
-	for _, h := range tasks {
+	for h := view.FirstTask(v); h != taskmodel.NoHandle; h = st.Next(h) {
 		l := st.Load(h)
 		if l > budget {
 			continue
@@ -85,8 +86,8 @@ func (d Diffusion) PlanLocality() sim.Locality { return sim.LocalityNeighborhood
 // PlanNodeInto implements sim.Policy.
 func (d Diffusion) PlanNodeInto(v int, view *sim.View, _ *rng.RNG, moves []sim.Move) []sim.Move {
 	moves = moves[:0]
-	tasks := view.TaskHandles(v)
-	if len(tasks) == 0 {
+	first := view.FirstTask(v)
+	if first == taskmodel.NoHandle {
 		return moves
 	}
 	st := view.TaskStore()
@@ -122,7 +123,7 @@ func (d Diffusion) PlanNodeInto(v int, view *sim.View, _ *rng.RNG, moves []sim.M
 		// L/speed(v) height from the source.
 		budget := alpha * (lv - lj) * view.Speed(v)
 		best := taskmodel.NoHandle
-		for _, h := range tasks {
+		for h := first; h != taskmodel.NoHandle; h = st.Next(h) {
 			l := st.Load(h)
 			if l > budget || sent(st.ID(h)) {
 				continue
@@ -138,7 +139,7 @@ func (d Diffusion) PlanNodeInto(v int, view *sim.View, _ *rng.RNG, moves []sim.M
 			// remedy against the token-granularity deadlock. Guarded so the
 			// pair's gap never inverts.
 			smallest := taskmodel.NoHandle
-			for _, h := range tasks {
+			for h := first; h != taskmodel.NoHandle; h = st.Next(h) {
 				if sent(st.ID(h)) {
 					continue
 				}
@@ -206,12 +207,11 @@ func (d *DimensionExchange) PlanNodeInto(v int, view *sim.View, _ *rng.RNG, move
 		return moves // the lighter (or equal) endpoint stays silent
 	}
 	budget := (lv - lj) / 2 * view.Speed(v)
-	st := view.TaskStore()
-	best := pickTaskUpTo(st, view.TaskHandles(v), budget)
+	best := pickTaskUpTo(view, v, budget)
 	if best < 0 {
 		return moves
 	}
-	return append(moves, sim.Move{TaskID: st.ID(best), From: v, To: j, NewFlag: sim.NaNFlag()})
+	return append(moves, sim.Move{TaskID: view.TaskStore().ID(best), From: v, To: j, NewFlag: sim.NaNFlag()})
 }
 
 // GradientModel is the GM method of Lin & Keller: underloaded nodes have
@@ -313,15 +313,14 @@ func (g *GradientModel) PlanNodeInto(v int, view *sim.View, _ *rng.RNG, moves []
 	if best < 0 {
 		return moves // no downhill pressure direction (or all links busy)
 	}
-	tasks := view.TaskHandles(v)
-	if len(tasks) == 0 {
+	smallest := view.FirstTask(v)
+	if smallest == taskmodel.NoHandle {
 		return moves
 	}
 	st := view.TaskStore()
 	// Send the smallest task (GM moves single work units towards the
 	// gradient; smallest-first avoids overshooting the sink).
-	smallest := tasks[0]
-	for _, h := range tasks[1:] {
+	for h := st.Next(smallest); h != taskmodel.NoHandle; h = st.Next(h) {
 		l := st.Load(h)
 		if l < st.Load(smallest) || (l == st.Load(smallest) && st.ID(h) < st.ID(smallest)) {
 			smallest = h
@@ -355,8 +354,8 @@ func (c CWN) PlanNodeInto(v int, view *sim.View, _ *rng.RNG, moves []sim.Move) [
 	if maxHops <= 0 {
 		maxHops = 4
 	}
-	tasks := view.TaskHandles(v)
-	if len(tasks) == 0 {
+	first := view.FirstTask(v)
+	if first == taskmodel.NoHandle {
 		return moves
 	}
 	st := view.TaskStore()
@@ -375,7 +374,7 @@ func (c CWN) PlanNodeInto(v int, view *sim.View, _ *rng.RNG, moves []sim.Move) [
 		return moves
 	}
 	pick := taskmodel.NoHandle
-	for _, h := range tasks {
+	for h := first; h != taskmodel.NoHandle; h = st.Next(h) {
 		if st.Hops(h) >= maxHops {
 			continue
 		}
@@ -441,12 +440,11 @@ func (r *RandomSender) PlanNodeInto(v int, view *sim.View, rnd *rng.RNG, moves [
 	if view.LinkBusy(v, j) || view.Height(j) >= threshold {
 		return moves
 	}
-	st := view.TaskStore()
-	best := pickTaskUpTo(st, view.TaskHandles(v), (lv-threshold)*view.Speed(v))
+	best := pickTaskUpTo(view, v, (lv-threshold)*view.Speed(v))
 	if best < 0 {
 		return moves
 	}
-	return append(moves, sim.Move{TaskID: st.ID(best), From: v, To: j, NewFlag: sim.NaNFlag()})
+	return append(moves, sim.Move{TaskID: view.TaskStore().ID(best), From: v, To: j, NewFlag: sim.NaNFlag()})
 }
 
 // interface checks. DimensionExchange, GradientModel and RandomSender make

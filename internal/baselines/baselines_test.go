@@ -122,7 +122,7 @@ func TestGradientModelDrainsHotspot(t *testing.T) {
 	// GM routes multi-hop: some tasks must have hopped more than once.
 	multi := 0
 	for v := 0; v < g.N(); v++ {
-		for _, h := range s.Queue(v).Handles() {
+		for _, h := range s.TaskStore().AppendHandles(nil, v) {
 			if s.TaskStore().Hops(h) > 1 {
 				multi++
 			}
@@ -150,7 +150,7 @@ func TestCWNBalancesNeighbourhood(t *testing.T) {
 	}
 	// Hop budget must be respected.
 	for v := 0; v < g.N(); v++ {
-		for _, h := range s.Queue(v).Handles() {
+		for _, h := range s.TaskStore().AppendHandles(nil, v) {
 			if hops := s.TaskStore().Hops(h); hops > 4 {
 				t.Fatalf("CWN exceeded hop budget: %d", hops)
 			}
@@ -162,7 +162,7 @@ func TestCWNHopBudgetConfigurable(t *testing.T) {
 	g := topology.NewRing(8)
 	s := run(t, g, CWN{MaxHops: 1}, hotspot(8, 32, 0.5), 300)
 	for v := 0; v < g.N(); v++ {
-		for _, h := range s.Queue(v).Handles() {
+		for _, h := range s.TaskStore().AppendHandles(nil, v) {
 			if hops := s.TaskStore().Hops(h); hops > 1 {
 				t.Fatalf("MaxHops=1 exceeded: %d", hops)
 			}

@@ -317,13 +317,13 @@ func (b *Balancer) plansNothing(v int, view *sim.View) bool {
 	if res := view.Resources(); res != nil && b.cfg.CsR != 0 {
 		return false
 	}
-	tasks := view.TaskHandles(v)
-	if len(tasks) == 0 {
+	first := view.FirstTask(v)
+	if first == taskmodel.NoHandle {
 		return true
 	}
 	st := view.TaskStore()
-	lmin := st.Load(tasks[0])
-	for _, h := range tasks {
+	lmin := st.Load(first)
+	for h := first; h != taskmodel.NoHandle; h = st.Next(h) {
 		if st.Moving(h) && !b.cfg.DisableInertia {
 			return false
 		}
@@ -358,8 +358,8 @@ func (b *Balancer) plansNothing(v int, view *sim.View) bool {
 // (projected heights, claimed links, link costs by canonical edge id)
 // instead of hashing node ids.
 func (b *Balancer) planNode(v int, view *sim.View, r *rng.RNG, moves []sim.Move) []sim.Move {
-	tasks := view.TaskHandles(v)
-	if len(tasks) == 0 {
+	first := view.FirstTask(v)
+	if first == taskmodel.NoHandle {
 		return moves
 	}
 	neighbors := view.Graph().Neighbors(v)
@@ -405,7 +405,7 @@ func (b *Balancer) planNode(v int, view *sim.View, r *rng.RNG, moves []sim.Move)
 	// Pass 1: in-motion tasks (inertia continuation) — they carry momentum
 	// and decide first, exactly as the physical particle in flight.
 	if !b.cfg.DisableInertia {
-		for _, h := range tasks {
+		for h := first; h != taskmodel.NoHandle; h = st.Next(h) {
 			if len(moves) >= maxMoves {
 				break
 			}
@@ -450,7 +450,7 @@ func (b *Balancer) planNode(v int, view *sim.View, r *rng.RNG, moves []sim.Move)
 	// Pass 2: stationary tasks, heaviest first (the highest-pressure
 	// particles are released first). The sort runs over precomputed
 	// (load, id) keys so comparisons never touch the arena lanes.
-	sc.keys = byLoadDescKeys(sc.keys, tasks, st)
+	sc.keys = byLoadDescKeys(sc.keys, first, st)
 	for i := range sc.keys {
 		if len(moves) >= maxMoves {
 			break
@@ -520,12 +520,13 @@ type loadKey struct {
 	h    taskmodel.Handle
 }
 
-// byLoadDescKeys fills dst with (load, id, handle) keys ordered by descending
-// load, reusing dst's capacity; determinism requires the id tiebreak (never
-// the handle values, which are storage addresses).
-func byLoadDescKeys(dst []loadKey, tasks []taskmodel.Handle, st *taskmodel.Store) []loadKey {
+// byLoadDescKeys fills dst with the (load, id, handle) keys of the queued
+// tasks from first on, ordered by descending load, reusing dst's capacity;
+// determinism requires the id tiebreak (never the handle values, which are
+// storage addresses).
+func byLoadDescKeys(dst []loadKey, first taskmodel.Handle, st *taskmodel.Store) []loadKey {
 	dst = dst[:0]
-	for _, h := range tasks {
+	for h := first; h != taskmodel.NoHandle; h = st.Next(h) {
 		dst = append(dst, loadKey{load: st.Load(h), id: st.ID(h), h: h})
 	}
 	slices.SortFunc(dst, func(a, b loadKey) int {

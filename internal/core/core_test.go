@@ -45,7 +45,7 @@ func TestStationaryCriterion(t *testing.T) {
 	})
 	view := e.State().View()
 	b := New(greedyCfg())
-	task := e.State().Queue(0).Handles()[0] // load 4 on node 0 (h=8)
+	task := e.State().TaskStore().AppendHandles(nil, 0)[0] // load 4 on node 0 (h=8)
 	// Towards node 1 (h=0): (8-0-8)/1 = 0, not > 0 → infeasible for the
 	// 4-load; but feasibility is per task size.
 	if tb, ok := b.FeasibleStationary(view, task, 0, 1); ok || tb != 0 {
@@ -69,8 +69,8 @@ func TestMuSFromDependenciesAndResources(t *testing.T) {
 	view := e.State().View()
 	b := New(greedyCfg())
 	st := e.State().TaskStore()
-	t0 := st.ID(e.State().Queue(0).Handles()[0])
-	t1 := st.ID(e.State().Queue(0).Handles()[1])
+	t0 := st.ID(e.State().TaskStore().AppendHandles(nil, 0)[0])
+	t1 := st.ID(e.State().TaskStore().AppendHandles(nil, 0)[1])
 
 	if b.MuS(view, t0, 0) != 0 {
 		t.Fatal("no deps → µs = 0")
@@ -85,7 +85,7 @@ func TestMuSFromDependenciesAndResources(t *testing.T) {
 	}
 	// Dependency to a task on ANOTHER node does not pin the task here.
 	h2 := st.Create(1000, 1, 2, 0)
-	e.State().Queue(2).Add(h2)
+	e.State().TaskStore().Enqueue(2, h2)
 	tg.SetDep(t0, st.ID(h2), 10)
 	if got := b.MuS(view, t0, 0); got != 4 {
 		t.Fatalf("remote dependency must not add to µs: %v", got)
@@ -213,7 +213,7 @@ func TestDependencyPinsTask(t *testing.T) {
 	// Huge mutual dependency: both tasks pinned to wherever they are
 	// co-located (µs = 100 each ≫ any achievable gradient).
 	st := e.State().TaskStore()
-	ts := e.State().Queue(0).Handles()
+	ts := e.State().TaskStore().AppendHandles(nil, 0)
 	tg.SetDep(st.ID(ts[0]), st.ID(ts[1]), 100)
 	e.Run(100)
 	s := e.State()
@@ -233,7 +233,7 @@ func TestResourceAffinityPinsTask(t *testing.T) {
 		Initial:   [][]float64{{3}, {}, {}, {}},
 		Resources: res,
 	})
-	task := e.State().TaskStore().ID(e.State().Queue(0).Handles()[0])
+	task := e.State().TaskStore().ID(e.State().TaskStore().AppendHandles(nil, 0)[0])
 	res.SetAffinity(task, 0, 50)
 	e.Run(50)
 	if e.State().Counters().Migrations != 0 {
@@ -252,7 +252,7 @@ func TestInertiaTravelsMultiHop(t *testing.T) {
 	st := e.State().TaskStore()
 	multiHop := 0
 	for v := 0; v < g.N(); v++ {
-		for _, task := range e.State().Queue(v).Handles() {
+		for _, task := range e.State().TaskStore().AppendHandles(nil, v) {
 			if st.Hops(task) > 1 {
 				multiHop++
 			}
@@ -280,7 +280,7 @@ func TestDisableInertiaStopsMultiHopMomentum(t *testing.T) {
 		totalHops := 0
 		tasks := 0
 		for v := 0; v < g.N(); v++ {
-			for _, task := range e.State().Queue(v).Handles() {
+			for _, task := range e.State().TaskStore().AppendHandles(nil, v) {
 				totalHops += st.Hops(task)
 				tasks++
 			}
@@ -336,7 +336,7 @@ func TestFlagDecreasesAlongChain(t *testing.T) {
 	// flags of travelled tasks are below the hotspot height.
 	st := e.State().TaskStore()
 	for v := 0; v < g.N(); v++ {
-		for _, task := range e.State().Queue(v).Handles() {
+		for _, task := range e.State().TaskStore().AppendHandles(nil, v) {
 			if st.Hops(task) > 0 && st.Flag(task) >= 16 {
 				t.Fatalf("flag %v did not pay friction over %d hops", st.Flag(task), st.Hops(task))
 			}
@@ -383,7 +383,7 @@ func TestFaultObliviousIgnoresFaultCost(t *testing.T) {
 	oblivious := New(obliviousCfg)
 
 	// The light task: (4 − 0 − 2)/e = 2/e, nonzero so the costs differ.
-	task := e.State().Queue(0).Handles()[1]
+	task := e.State().TaskStore().AppendHandles(nil, 0)[1]
 	tbAware, _ := aware.FeasibleStationary(view, task, 0, 1)
 	tbObl, _ := oblivious.FeasibleStationary(view, task, 0, 1)
 	if !(tbObl > tbAware) {
@@ -483,18 +483,21 @@ func TestHeterogeneousEquilibrium(t *testing.T) {
 
 func TestHeaviestFirstKeysOrdering(t *testing.T) {
 	st := taskmodel.NewStore()
-	tasks := []taskmodel.Handle{
+	st.GrowNodes(1)
+	for _, h := range []taskmodel.Handle{
 		st.Create(3, 1, 0, 0),
 		st.Create(1, 5, 0, 0),
 		st.Create(2, 5, 0, 0),
+	} {
+		st.Enqueue(0, h)
 	}
-	out := byLoadDescKeys(nil, tasks, st)
+	out := byLoadDescKeys(nil, st.Queue(0).Front(), st)
 	if out[0].id != 1 || out[1].id != 2 || out[2].id != 3 {
 		t.Fatalf("order wrong: %v %v %v", out[0].id, out[1].id, out[2].id)
 	}
-	// Input untouched.
-	if st.ID(tasks[0]) != 3 {
-		t.Fatal("byLoadDescKeys must not mutate input")
+	// The queue itself is untouched.
+	if st.ID(st.Queue(0).Front()) != 3 {
+		t.Fatal("byLoadDescKeys must not reorder the queue")
 	}
 }
 

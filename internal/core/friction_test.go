@@ -144,7 +144,7 @@ func checkFrictionBound(t *testing.T, seed uint64, flags uint8, ticks int) {
 	// inertia disabled, its absence) is exercised on every topology.
 	st := e.State().TaskStore()
 	for v := 0; v < n; v++ {
-		for _, h := range e.State().Queue(v).Handles() {
+		for _, h := range e.State().TaskStore().AppendHandles(nil, v) {
 			if r.Bernoulli(0.1) {
 				st.SetMoving(h, true)
 				st.SetFlag(h, r.Range(-1, 10))

@@ -220,7 +220,7 @@ func meanHops(s *sim.State) float64 {
 	st := s.TaskStore()
 	total, count := 0, 0
 	for v := 0; v < s.Graph().N(); v++ {
-		for _, h := range s.Queue(v).Handles() {
+		for h := s.Queue(v).Front(); h != taskmodel.NoHandle; h = st.Next(h) {
 			total += st.Hops(h)
 			count++
 		}

@@ -51,7 +51,7 @@ type Tweaks struct {
 	// Churn overlays a recycle-heavy regime on the generated scenario: a
 	// burst arrival every tick plus a high service rate, so task slots are
 	// created and released constantly and the arena's free-list recycling,
-	// id→handle index and queue slot lanes get hammered. Like every tweak
+	// id→handle index and queue link lanes get hammered. Like every tweak
 	// it consumes no randomness, so churn variants of the pinned corpus
 	// replay the corpus's own draws.
 	Churn bool `json:"churn,omitempty"`

@@ -47,7 +47,7 @@ func TestHarnessSmoke(t *testing.T) {
 // TestHarnessChurnSmoke is the recycle-heavy leg of the merge gate: the
 // same generated corpus shape as TestHarnessSmoke but with the Churn tweak
 // overlaid, so every tick creates and completes tasks and the arena
-// free-list, id→handle index and queue slot lanes recycle constantly under
+// free-list, id→handle index and queue link lanes recycle constantly under
 // the full invariant suite (including store-consistency's brute-force
 // scan) and both bit-identity twins.
 func TestHarnessChurnSmoke(t *testing.T) {

@@ -86,7 +86,7 @@ func (queueSanity) Check(s *sim.State) string {
 			return fmt.Sprintf("node %d cached total %g", v, total)
 		}
 		scan := 0.0
-		for _, h := range q.Handles() {
+		for h := q.Front(); h != taskmodel.NoHandle; h = st.Next(h) {
 			load := st.Load(h)
 			if !(load > 0) {
 				return fmt.Sprintf("node %d task %d has load %g", v, st.ID(h), load)
@@ -137,13 +137,13 @@ func (transferAccounting) Check(s *sim.State) string {
 }
 
 // storeConsistency audits the arena against a brute-force scan: every
-// queue's handle list, slot lanes and cached total agree with the store
-// (Queue.CheckConsistency), every in-flight transfer holds a live handle,
-// the live-slot count matches residents + in-flight, and the id→handle
-// index round-trips for every id ever issued. This is the recycle-churn
-// safety net: a free-list bug (double release, stale byID entry, slot lane
-// desync after a tail-shift) surfaces here even when load totals happen to
-// balance out.
+// queue's threaded list, node lanes and cached total agree with the store
+// (Store.CheckQueue, a walk bounded by the arena size), every in-flight
+// transfer holds a live handle, the live-slot count matches residents +
+// in-flight, and the id→handle index round-trips for every id ever issued.
+// This is the recycle-churn safety net: a free-list bug (double release,
+// stale byID entry, a next/prev link left dangling by an unlink) surfaces
+// here even when load totals happen to balance out.
 type storeConsistency struct{}
 
 func (storeConsistency) Name() string { return "store-consistency" }
@@ -152,11 +152,10 @@ func (storeConsistency) Check(s *sim.State) string {
 	st := s.TaskStore()
 	resident := 0
 	for v := 0; v < s.Graph().N(); v++ {
-		q := s.Queue(v)
-		if err := q.CheckConsistency(); err != nil {
+		if err := st.CheckQueue(v); err != nil {
 			return fmt.Sprintf("node %d: %v", v, err)
 		}
-		resident += q.Len()
+		resident += s.Queue(v).Len()
 	}
 	inflight := 0
 	dead := ""

@@ -25,7 +25,7 @@ func (localSlide) Name() string           { return "local-slide" }
 func (localSlide) PlanLocality() Locality { return LocalityNeighborhood }
 
 func (localSlide) PlanNodeInto(v int, view *View, _ *rng.RNG, out []Move) []Move {
-	tasks := view.TaskHandles(v)
+	tasks := view.TaskStore().AppendHandles(nil, v)
 	if len(tasks) == 0 {
 		return out
 	}

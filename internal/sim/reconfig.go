@@ -189,11 +189,10 @@ func (e *Engine) Reconfigure(rc Reconfig) error {
 	}
 
 	// 2. Swap in the new topology and lay the engine out over it: existing
-	// queues move by value (their buffers, heads and cached totals carry
-	// over untouched), the link, in-flight and occupancy state is reset for
-	// exact rebuild below, and the active set restarts with every node
-	// activated — the one canonical state both the incremental and
-	// full-sweep engines agree on across a rebuild.
+	// queues carry over untouched in the store, the link, in-flight and
+	// occupancy state is reset for exact rebuild below, and the active set
+	// restarts with every node activated — the one canonical state both the
+	// incremental and full-sweep engines agree on across a rebuild.
 	s.g = rc.Graph
 	s.links = rc.Links
 	s.speeds = speeds
@@ -210,13 +209,12 @@ func (e *Engine) Reconfigure(rc Reconfig) error {
 	// whole neighbourhood died. Recall targets are always alive, so drains
 	// never see recalled tasks.
 	for _, r := range recalls {
-		s.queues[r.node].Add(r.h)
+		st.Enqueue(int(r.node), r.h)
 		s.counters.RecalledTransfers++
 	}
-	var drainBuf []taskmodel.Handle
 	var targets []int
 	for v := 0; v < n; v++ {
-		if !dead[v] || s.queues[v].Len() == 0 {
+		if !dead[v] || s.Queue(v).Len() == 0 {
 			continue
 		}
 		targets = targets[:0]
@@ -228,12 +226,13 @@ func (e *Engine) Reconfigure(rc Reconfig) error {
 		if len(targets) == 0 {
 			targets = append(targets, firstAlive)
 		}
-		drainBuf = append(drainBuf[:0], s.queues[v].Handles()...)
-		s.queues[v].Restore(nil, 0)
-		for i, h := range drainBuf {
-			s.queues[targets[i%len(targets)]].Add(h)
+		q := s.Queue(v)
+		for i := 0; q.Len() > 0; i++ {
+			h := st.Remove(v, st.ID(q.Front()))
+			st.Enqueue(targets[i%len(targets)], h)
 			s.counters.DrainedTasks++
 		}
+		st.RestoreTotal(v, 0) // exactly empty, whatever the removals' float residue
 	}
 
 	// 4. Rebuild the derived indexes exactly: occupancy, per-shard task

@@ -156,12 +156,12 @@ type State struct {
 	tgraph *taskmodel.Graph
 	res    *taskmodel.Resources
 
-	// tasks is the arena every task in the system lives in: queues and the
-	// transfer shards hold handles into it, so the steady-state tick touches
-	// flat lanes only and the GC scan set does not grow with live tasks.
+	// tasks is the arena every task in the system lives in: it owns the
+	// per-node queues, and the transfer shards hold handles into it, so the
+	// steady-state tick touches flat lanes only and the GC scan set does not
+	// grow with live tasks.
 	tasks *taskmodel.Store
 
-	queues   []taskmodel.Queue
 	linkBusy []bool
 	speeds   []float64 // per-node processing speed (nil = uniform 1)
 	tick     int64
@@ -229,7 +229,7 @@ func (s *State) noteTaskAdded(v int) {
 // queue.
 func (s *State) noteTaskRemoved(v int) {
 	s.shardTasks[s.nodeShard[v]].n--
-	if s.queues[v].Len() == 0 {
+	if s.Queue(v).Len() == 0 {
 		s.occupied.clearBit(v)
 	}
 }
@@ -301,7 +301,7 @@ func (v *View) Tick() int64 { return v.s.tick }
 func (v *View) N() int { return v.s.g.N() }
 
 // Load returns the raw resident load of node n.
-func (v *View) Load(n int) float64 { return v.s.queues[n].Total() }
+func (v *View) Load(n int) float64 { return v.s.Queue(n).Total() }
 
 // Speed returns the processing speed of node n (1 for homogeneous systems).
 func (v *View) Speed(n int) float64 { return v.s.Speed(n) }
@@ -317,10 +317,10 @@ func (v *View) Height(n int) float64 { return v.s.Height(n) }
 // Heights materialises the full height vector.
 func (v *View) Heights() []float64 { return v.s.Heights() }
 
-// TaskHandles returns the handles of the tasks resident at node n, in
-// canonical insertion order. Read-only and allocation-free; field access
-// goes through TaskStore.
-func (v *View) TaskHandles(n int) []taskmodel.Handle { return v.s.queues[n].Handles() }
+// FirstTask returns the oldest task resident at node n, or NoHandle when n
+// holds none. TaskStore().Next walks on in canonical insertion order:
+// read-only and allocation-free, with field access through TaskStore.
+func (v *View) FirstTask(n int) taskmodel.Handle { return v.s.Queue(n).Front() }
 
 // TaskStore returns the arena holding every task's fields.
 func (v *View) TaskStore() *taskmodel.Store { return v.s.tasks }
@@ -330,7 +330,7 @@ func (v *View) TaskStore() *taskmodel.Store { return v.s.tasks }
 // the dependency graph's flat adjacency and the queue's O(1) membership
 // index. Returns 0 when no dependency graph is attached.
 func (v *View) DepWeightToNode(id taskmodel.ID, n int) float64 {
-	return v.s.tgraph.WeightToQueue(id, &v.s.queues[n])
+	return v.s.tgraph.WeightToQueue(id, v.s.tasks, n)
 }
 
 // LinkBusy reports whether the {u,v} link is occupied by a transfer.
@@ -361,9 +361,9 @@ func (v *View) HeightsInto(dst []float64) []float64 { return v.s.HeightsInto(dst
 
 // Loads returns the per-node resident loads.
 func (s *State) Loads() []float64 {
-	out := make([]float64, len(s.queues))
-	for i := range s.queues {
-		out[i] = s.queues[i].Total()
+	out := make([]float64, s.g.N())
+	for i := range out {
+		out[i] = s.Queue(i).Total()
 	}
 	return out
 }
@@ -379,25 +379,25 @@ func (s *State) Speed(n int) float64 {
 // Height returns the load-surface height of node n: load/speed.
 func (s *State) Height(n int) float64 {
 	if s.speeds == nil {
-		return s.queues[n].Total()
+		return s.Queue(n).Total()
 	}
-	return s.queues[n].Total() / s.speeds[n]
+	return s.Queue(n).Total() / s.speeds[n]
 }
 
 // Heights returns the per-node surface heights (equals Loads on homogeneous
 // systems).
 func (s *State) Heights() []float64 {
-	return s.HeightsInto(make([]float64, 0, len(s.queues)))
+	return s.HeightsInto(make([]float64, 0, s.g.N()))
 }
 
 // HeightsInto fills dst with the per-node surface heights (a single copy of
 // the cached per-queue totals), reusing dst's capacity.
 func (s *State) HeightsInto(dst []float64) []float64 {
 	dst = dst[:0]
-	if cap(dst) < len(s.queues) {
-		dst = make([]float64, 0, len(s.queues))
+	if cap(dst) < s.g.N() {
+		dst = make([]float64, 0, s.g.N())
 	}
-	for i := range s.queues {
+	for i := range s.g.N() {
 		dst = append(dst, s.Height(i))
 	}
 	return dst
@@ -415,9 +415,9 @@ func (s *State) Graph() *topology.Graph { return s.g }
 // Links returns the link parameters.
 func (s *State) Links() *linkmodel.Params { return s.links }
 
-// Queue returns the task queue of node n (mutable; engine internal and
-// test use).
-func (s *State) Queue(n int) *taskmodel.Queue { return &s.queues[n] }
+// Queue returns the queue header of node n (engine internal and test use;
+// the queue operations are TaskStore methods keyed by node).
+func (s *State) Queue(n int) *taskmodel.Queue { return s.tasks.Queue(n) }
 
 // TaskStore returns the task arena (metrics, harness and test use).
 func (s *State) TaskStore() *taskmodel.Store { return s.tasks }
@@ -450,8 +450,8 @@ func (s *State) InFlightLoad() float64 { return s.inflightLoad }
 // TotalLoad returns resident + in-flight load.
 func (s *State) TotalLoad() float64 {
 	t := s.InFlightLoad()
-	for i := range s.queues {
-		t += s.queues[i].Total()
+	for i := range s.g.N() {
+		t += s.Queue(i).Total()
 	}
 	return t
 }
@@ -684,7 +684,7 @@ func New(cfg Config) (*Engine, error) {
 // layout sizes every per-node structure to the current graph and resets the
 // state derived from the topology. Per-node slices grow to exactly N by
 // make+copy — append growth would over-allocate by up to a quarter at 1M
-// nodes — carrying existing queues over by value. The shard partition is
+// nodes — and the store's queue headers carry over. The shard partition is
 // recomputed; link-busy and link-claim flags, the in-flight aggregates and the
 // occupancy index start empty; and the active set, when the policy plans
 // incrementally, starts with every node activated. New, Reconfigure and
@@ -692,13 +692,8 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) layout() {
 	s := e.state
 	n := s.g.N()
-	if old := len(s.queues); n > old {
-		queues := make([]taskmodel.Queue, n)
-		copy(queues, s.queues)
-		for v := old; v < n; v++ {
-			queues[v].Init(s.tasks, v)
-		}
-		s.queues = queues
+	if n > len(s.nodeShard) {
+		s.tasks.GrowNodes(n)
 		s.nodeShard = make([]uint8, n)
 	}
 	for k := 0; k <= numShards; k++ {
@@ -733,8 +728,8 @@ func (e *Engine) layout() {
 // for callers that refill queues without noteTaskAdded: the Reconfigure
 // drains and the snapshot decode.
 func (s *State) reindex() {
-	for v := range s.queues {
-		if l := s.queues[v].Len(); l > 0 {
+	for v := range s.g.N() {
+		if l := s.Queue(v).Len(); l > 0 {
 			s.shardTasks[s.nodeShard[v]].n += int64(l)
 			s.occupied.set(v)
 		}
@@ -764,7 +759,7 @@ func (e *Engine) inject(node int, load float64) {
 	h := s.tasks.Create(s.nextTaskID, load, node, s.tick)
 	s.nextTaskID++
 	s.counters.Injected += load
-	s.queues[node].Add(h)
+	s.tasks.Enqueue(node, h)
 	s.noteTaskAdded(node)
 	e.markDirtyNeighborhood(node)
 }
@@ -1048,7 +1043,7 @@ func (e *Engine) planNode(v int, p *shardPart, r *rng.RNG, tickBase uint64) {
 			p.counters.Rejected++ // one move per task (ids are sorted)
 			continue
 		}
-		if !s.queues[v].Has(m.TaskID) {
+		if !s.tasks.Has(v, m.TaskID) {
 			p.counters.Rejected++
 			continue
 		}
@@ -1111,7 +1106,7 @@ func (e *Engine) applyShard(k int, _ *rng.RNG) {
 			p.counters.Rejected++
 			continue
 		}
-		h := s.queues[v].Remove(m.TaskID)
+		h := st.Remove(v, m.TaskID)
 		if h < 0 {
 			p.counters.Rejected++ // unreachable: residency checked in filter
 			continue
@@ -1240,7 +1235,7 @@ func (e *Engine) advanceShard(k int, r *rng.RNG) {
 		// Delivery (or bounce completion).
 		s.linkBusy[eid] = false
 		to := int(sh.to[i])
-		s.queues[to].Add(h)
+		st.Enqueue(to, h)
 		s.noteTaskAdded(to)
 		// to's load rose and the link freed; the sender is a neighbour of
 		// to, so the neighbourhood mark re-activates it as well. A bounce
@@ -1280,7 +1275,7 @@ func (e *Engine) serviceShard(k int, _ *rng.RNG) {
 			v := w<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
 			before := len(p.done)
-			done, consumed := s.queues[v].ConsumeServiceInto(e.cfg.ServiceRate*s.Speed(v), s.tick, p.done)
+			done, consumed := s.tasks.ConsumeServiceInto(v, e.cfg.ServiceRate*s.Speed(v), s.tick, p.done)
 			p.done = done
 			p.counters.Consumed += consumed
 			if consumed > 0 {
@@ -1288,7 +1283,7 @@ func (e *Engine) serviceShard(k int, _ *rng.RNG) {
 			}
 			if completed := len(p.done) - before; completed > 0 {
 				s.shardTasks[k].n -= int64(completed)
-				if s.queues[v].Len() == 0 {
+				if s.Queue(v).Len() == 0 {
 					s.occupied.clearBit(v)
 				}
 			}

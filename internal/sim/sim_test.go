@@ -30,7 +30,7 @@ type greedyPolicy struct{}
 func (greedyPolicy) Name() string { return "test-greedy" }
 
 func (greedyPolicy) PlanNodeInto(v int, view *View, _ *rng.RNG, buf []Move) []Move {
-	tasks := view.TaskHandles(v)
+	tasks := view.TaskStore().AppendHandles(nil, v)
 	if len(tasks) == 0 {
 		return buf
 	}
@@ -63,7 +63,7 @@ func (greedyPolicy) PlanNodeInto(v int, view *View, _ *rng.RNG, buf []Move) []Mo
 // taskIDs returns the ids of the tasks resident at node n, in queue order.
 func taskIDs(view *View, n int) []taskmodel.ID {
 	var ids []taskmodel.ID
-	for _, h := range view.TaskHandles(n) {
+	for _, h := range view.TaskStore().AppendHandles(nil, n) {
 		ids = append(ids, view.TaskStore().ID(h))
 	}
 	return ids
@@ -313,7 +313,7 @@ func TestFlagWrittenOnDeparture(t *testing.T) {
 	e, _ := New(ringConfig(p, [][]float64{{2}, {}, {}, {}}))
 	e.Run(1)
 	st := e.State().TaskStore()
-	h := e.State().Queue(1).Handles()[0]
+	h := e.State().TaskStore().AppendHandles(nil, 1)[0]
 	if st.Flag(h) != 7.5 {
 		t.Fatalf("flag = %v, want 7.5", st.Flag(h))
 	}

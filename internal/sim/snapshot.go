@@ -8,12 +8,9 @@
 // The encoding is canonical — a pure function of semantic state, independent
 // of execution history details that do not affect future behaviour — so equal
 // snapshots mean equal states and the byte slice doubles as a state hash
-// (the harness's snapshot twin compares snapshots directly). Three
+// (the harness's snapshot twin compares snapshots directly). Two
 // canonicalizations make that true:
 //
-//   - Queue buffers serialize front-to-back with the consumed-prefix offset
-//     folded away (restore rebuilds residency with head 0). Nothing
-//     behavioural reads absolute buffer positions, only relative order.
 //   - The in-flight aggregate serializes as the ascending list of non-zero
 //     inflightTo entries; the epoch counter, stamps and per-shard touched
 //     lists are rebuilt fresh on restore. Dropping touched-but-exactly-zero
@@ -199,7 +196,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	capn := st.Cap()
 
 	est := 176 + len(s.linkBusy) + capn*63 + len(st.FreeList())*4 +
-		len(s.queues)*16 + s.InFlight()*22 + len(s.movingResident)*16
+		s.g.N()*16 + s.InFlight()*22 + len(s.movingResident)*16
 	w := &snapWriter{b: make([]byte, 0, est)}
 
 	// Header: identity of the configuration this state belongs to — since
@@ -254,7 +251,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 
 	// Task arena: every slot (dead ones as a bare -1 id), then the free-list
 	// in exact recycling order — it determines every future handle assignment.
-	// Node/slot lanes are not encoded; the owning queues rebuild them.
+	// Node and link lanes are not encoded; the queue records rebuild them.
 	w.u64(uint64(capn))
 	for h := 0; h < capn; h++ {
 		ss := st.SlotStateAt(taskmodel.Handle(h))
@@ -281,11 +278,10 @@ func (e *Engine) Snapshot() ([]byte, error) {
 
 	// Queues: resident handles front-to-back plus the cached total, whose
 	// exact bits carry the accumulated add/remove history.
-	for v := range s.queues {
-		q := &s.queues[v]
-		hs := q.Handles()
-		w.u64(uint64(len(hs)))
-		for _, h := range hs {
+	for v := range s.g.N() {
+		q := s.Queue(v)
+		w.u64(uint64(q.Len()))
+		for h := q.Front(); h != taskmodel.NoHandle; h = st.Next(h) {
 			w.u32(uint32(h))
 		}
 		w.f64(q.Total())
@@ -542,32 +538,32 @@ func (e *Engine) restoreBody(r *snapReader) error {
 		ownedCnt++
 	}
 
-	// Queues: rebuild residency (claiming node/slot lanes), then the
-	// occupancy index the engine normally maintains via noteTaskAdded.
-	var hbuf []taskmodel.Handle
-	for v := range s.queues {
+	// Queues: rebuild residency front to back (claiming node and link
+	// lanes), restore the exact total, then the occupancy index the engine
+	// normally maintains via noteTaskAdded. The claim comes first: a handle
+	// linked into two places would corrupt the lists, so it never is.
+	for v := range n {
 		cnt := r.count(4)
 		if r.err == nil && cnt > 0 && !s.nodeAlive(v) {
 			r.fail("dead node %d has %d resident tasks", v, cnt)
 			return r.err
 		}
-		hbuf = hbuf[:0]
 		for i := 0; i < cnt; i++ {
 			h := taskmodel.Handle(r.u32())
 			if r.err == nil && !st.Alive(h) {
 				r.fail("queue %d references dead handle %d", v, h)
 			}
+			claim(h, "queue", v, i) // a no-op once r.err is set
 			if r.err != nil {
 				return r.err
 			}
-			claim(h, "queue", v, i)
-			hbuf = append(hbuf, h)
+			st.Enqueue(v, h)
 		}
 		total := r.f64()
 		if r.err != nil {
 			return r.err
 		}
-		s.queues[v].Restore(hbuf, total)
+		st.RestoreTotal(v, total)
 	}
 	s.reindex()
 

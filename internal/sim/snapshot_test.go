@@ -2,7 +2,10 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"pplb/internal/linkmodel"
@@ -384,5 +387,91 @@ func TestSnapshotActiveSetPendingCarried(t *testing.T) {
 	defer r.Close()
 	if got, want := r.State().ActiveNodes(), e.State().ActiveNodes(); got != want {
 		t.Fatalf("restored pending set has %d nodes, original %d", got, want)
+	}
+}
+
+// queueRecordOffsets locates every node's queue record (u64 count, u32
+// handles front to back, f64 total) in snap, a snapshot of e's current
+// state: it finds the first non-empty node's record by its bytes and steps
+// back over the records before it.
+func queueRecordOffsets(t *testing.T, e *Engine, snap []byte) []int {
+	t.Helper()
+	s := e.state
+	record := func(v int) []byte {
+		hs := s.tasks.AppendHandles(nil, v)
+		b := binary.LittleEndian.AppendUint64(nil, uint64(len(hs)))
+		for _, h := range hs {
+			b = binary.LittleEndian.AppendUint32(b, uint32(h))
+		}
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(s.Queue(v).Total()))
+	}
+	n := s.g.N()
+	first := 0
+	for first < n && s.Queue(first).Len() == 0 {
+		first++
+	}
+	if first == n {
+		t.Fatal("every queue is empty")
+	}
+	at := bytes.Index(snap, record(first))
+	if at < 0 || bytes.Index(snap[at+1:], record(first)) >= 0 {
+		t.Fatalf("node %d's queue record is not found exactly once", first)
+	}
+	for v := 0; v < first; v++ {
+		at -= len(record(v))
+	}
+	offs := make([]int, n)
+	for v := range offs {
+		offs[v] = at
+		if !bytes.Equal(snap[at:at+len(record(v))], record(v)) {
+			t.Fatalf("node %d's queue record is not at offset %d", v, at)
+		}
+		at += len(record(v))
+	}
+	return offs
+}
+
+// A live handle listed twice — in two queue records, or twice in one — must
+// be rejected before it is enqueued: linking it twice would turn the queues'
+// threaded lists into a cycle rather than double-count a task.
+func TestSnapshotRestoreRejectsDuplicateQueueHandle(t *testing.T) {
+	cfg := snapConfig(91)
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.Run(25)
+	snap := mustSnap(t, e)
+	if _, err := Restore(snap, cfg); err != nil {
+		t.Fatalf("unedited snapshot: %v", err)
+	}
+	offs := queueRecordOffsets(t, e, snap)
+	handleAt := func(v, i int) int { return offs[v] + 8 + 4*i } // byte offset of v's i-th handle
+	var occupied, deep []int                                    // nodes with >= 1 and >= 2 residents
+	for v := range offs {
+		if l := e.state.Queue(v).Len(); l >= 1 {
+			occupied = append(occupied, v)
+			if l >= 2 {
+				deep = append(deep, v)
+			}
+		}
+	}
+	if len(occupied) < 2 || len(deep) < 1 {
+		t.Fatalf("scenario too sparse: %d occupied, %d with two or more tasks", len(occupied), len(deep))
+	}
+	for _, tc := range []struct {
+		name     string
+		from, to int // copy the handle at byte offset from over the one at to
+	}{
+		{"two records", handleAt(occupied[0], 0), handleAt(occupied[1], 0)},
+		{"one record", handleAt(deep[0], 0), handleAt(deep[0], 1)},
+	} {
+		bad := append([]byte(nil), snap...)
+		copy(bad[tc.to:tc.to+4], snap[tc.from:tc.from+4])
+		_, err := Restore(bad, cfg)
+		if err == nil || !strings.Contains(err.Error(), "twice") {
+			t.Errorf("%s: Restore error %v, want a duplicate-handle error", tc.name, err)
+		}
 	}
 }

@@ -27,10 +27,9 @@ func (e *Engine) maybeLeakForTest() {
 	if s.tick == 0 || s.tick%conservationLeakEvery != 0 {
 		return
 	}
-	for v := range s.queues {
-		if hs := s.queues[v].Handles(); len(hs) > 0 {
-			h := hs[0]
-			s.queues[v].Remove(s.tasks.ID(h))
+	for v := range s.g.N() {
+		if h := s.Queue(v).Front(); h >= 0 {
+			s.tasks.Remove(v, s.tasks.ID(h))
 			// Keep the occupancy index, active set and arena coherent: the
 			// leak must break load conservation and nothing else, in every
 			// engine variant alike, so the invariant under test is the one

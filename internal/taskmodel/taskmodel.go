@@ -2,7 +2,9 @@
 //
 //   - Store: a dense struct-of-arrays arena holding every task field
 //     (load l_{i,k}, the potential-height flag h* of §5.1, and the
-//     experiment bookkeeping) in parallel slices indexed by a stable Handle.
+//     experiment bookkeeping) in parallel slices indexed by a stable Handle,
+//     and the per-node queues (Queue), whose residents it links through
+//     next/prev lanes.
 //   - Graph ("T" in the paper): edge-weighted task-dependency graph; T_{i,j}
 //     is the communication weight between tasks i and j.
 //   - Resources ("R" in the paper, |L|x|V|): task-to-node resource affinity.
@@ -49,22 +51,27 @@ const NoHandle Handle = -1
 // steady state allocates nothing: lookups, creation into recycled slots and
 // release are all O(1) over preallocated lanes.
 //
-// The node and slot lanes are queue residency state maintained by Queue:
-// node is the id of the queue the task currently sits in (-1 while in
-// flight or completed) and slot its absolute index in that queue's buffer.
+// The store is also the one owner of queue residency: a header per node
+// (Queue) and three lanes. node is the id of the queue the task currently
+// sits in (-1 while in flight or completed); next and prev link the
+// residents of one queue in insertion order (NoHandle at the ends and while
+// not enqueued).
 type Store struct {
 	id        []ID
 	load      []float64
 	flag      []float64
 	moving    []bool
 	origin    []int32
-	prev      []int32
+	prevNode  []int32
 	node      []int32
-	slot      []int32
+	next      []Handle
+	prev      []Handle
 	hops      []int32
 	birth     []int64
 	done      []int64
 	movedTick []int64
+
+	queues []Queue // per-node queue headers, indexed by node id
 
 	free []Handle // released slots, reused LIFO (deterministic)
 	byID []Handle // dense id→handle index; NoHandle = dead or never created
@@ -87,9 +94,10 @@ func (s *Store) Create(id ID, load float64, origin int, birth int64) Handle {
 		s.flag[h] = 0
 		s.moving[h] = false
 		s.origin[h] = int32(origin)
-		s.prev[h] = -1
+		s.prevNode[h] = -1
 		s.node[h] = -1
-		s.slot[h] = -1
+		s.next[h] = NoHandle
+		s.prev[h] = NoHandle
 		s.hops[h] = 0
 		s.birth[h] = birth
 		s.done[h] = -1
@@ -101,9 +109,10 @@ func (s *Store) Create(id ID, load float64, origin int, birth int64) Handle {
 		s.flag = append(s.flag, 0)
 		s.moving = append(s.moving, false)
 		s.origin = append(s.origin, int32(origin))
-		s.prev = append(s.prev, -1)
+		s.prevNode = append(s.prevNode, -1)
 		s.node = append(s.node, -1)
-		s.slot = append(s.slot, -1)
+		s.next = append(s.next, NoHandle)
+		s.prev = append(s.prev, NoHandle)
 		s.hops = append(s.hops, 0)
 		s.birth = append(s.birth, birth)
 		s.done = append(s.done, -1)
@@ -174,14 +183,10 @@ func (s *Store) Origin(h Handle) int { return int(s.origin[h]) }
 
 // Prev returns the node the task last migrated from (-1 if none): the
 // discrete momentum memory that keeps a sliding task from backtracking.
-func (s *Store) Prev(h Handle) int { return int(s.prev[h]) }
+func (s *Store) Prev(h Handle) int { return int(s.prevNode[h]) }
 
 // Node returns the node whose queue the task sits in (-1 while in flight).
 func (s *Store) Node(h Handle) int { return int(s.node[h]) }
-
-// Slot returns the task's absolute index in its queue's buffer (-1 when not
-// enqueued).
-func (s *Store) Slot(h Handle) int { return int(s.slot[h]) }
 
 // Hops returns the number of link traversals so far.
 func (s *Store) Hops(h Handle) int { return int(s.hops[h]) }
@@ -208,7 +213,7 @@ func (s *Store) SetFlag(h Handle, v float64) { s.flag[h] = v }
 func (s *Store) SetMoving(h Handle, v bool) { s.moving[h] = v }
 
 // SetPrev records the node the task last migrated from.
-func (s *Store) SetPrev(h Handle, v int) { s.prev[h] = int32(v) }
+func (s *Store) SetPrev(h Handle, v int) { s.prevNode[h] = int32(v) }
 
 // SetMovedTick stamps the tick the task departed a node.
 func (s *Store) SetMovedTick(h Handle, tick int64) { s.movedTick[h] = tick }
@@ -217,8 +222,8 @@ func (s *Store) SetMovedTick(h Handle, tick int64) { s.movedTick[h] = tick }
 func (s *Store) AddHop(h Handle) { s.hops[h]++ }
 
 // SlotState is the serializable state of one arena slot: every lane except
-// node/slot, which are queue residency state and are rebuilt by Queue.Restore
-// when the owning queue re-adds the handle. A dead (free) slot has ID -1 and
+// the node and link lanes, which are queue residency state and are rebuilt
+// when the snapshot decoder re-enqueues the handle. A dead (free) slot has ID -1 and
 // all other fields zero.
 type SlotState struct {
 	ID        ID
@@ -241,7 +246,7 @@ func (s *Store) SlotStateAt(h Handle) SlotState {
 	}
 	return SlotState{
 		ID: s.id[h], Load: s.load[h], Flag: s.flag[h], Moving: s.moving[h],
-		Origin: s.origin[h], Prev: s.prev[h], Hops: s.hops[h],
+		Origin: s.origin[h], Prev: s.prevNode[h], Hops: s.hops[h],
 		Birth: s.birth[h], Done: s.done[h], MovedTick: s.movedTick[h],
 	}
 }
@@ -256,9 +261,8 @@ func (s *Store) FreeList() []Handle { return s.free }
 // slots[h] describes slot h for every h in [0, len(slots)); dead slots carry
 // ID -1 and must appear in free (in the original recycling order). idBound is
 // the exclusive upper bound on ids ever issued (Store.IDBound at snapshot
-// time) and sizes the id→handle index. Node/slot lanes are reset to -1; the
-// owning queues re-claim them via Queue.Restore. The store mutates in place
-// so queues already bound to it stay bound.
+// time) and sizes the id→handle index. Every queue is emptied and the node
+// and link lanes are reset; the decoder re-enqueues the residents.
 func (s *Store) RestoreSnapshot(slots []SlotState, free []Handle, idBound ID) error {
 	n := len(slots)
 	s.id = make([]ID, n)
@@ -266,9 +270,10 @@ func (s *Store) RestoreSnapshot(slots []SlotState, free []Handle, idBound ID) er
 	s.flag = make([]float64, n)
 	s.moving = make([]bool, n)
 	s.origin = make([]int32, n)
-	s.prev = make([]int32, n)
+	s.prevNode = make([]int32, n)
 	s.node = make([]int32, n)
-	s.slot = make([]int32, n)
+	s.next = make([]Handle, n)
+	s.prev = make([]Handle, n)
 	s.hops = make([]int32, n)
 	s.birth = make([]int64, n)
 	s.done = make([]int64, n)
@@ -276,6 +281,7 @@ func (s *Store) RestoreSnapshot(slots []SlotState, free []Handle, idBound ID) er
 	if idBound < 0 {
 		return fmt.Errorf("taskmodel: restore: negative id bound %d", idBound)
 	}
+	clear(s.queues)
 	s.byID = make([]Handle, idBound)
 	for i := range s.byID {
 		s.byID[i] = NoHandle
@@ -283,10 +289,11 @@ func (s *Store) RestoreSnapshot(slots []SlotState, free []Handle, idBound ID) er
 	s.live = 0
 	for h, st := range slots {
 		s.node[h] = -1
-		s.slot[h] = -1
+		s.next[h] = NoHandle
+		s.prev[h] = NoHandle
 		if st.ID < 0 {
 			s.id[h] = -1
-			s.prev[h] = -1
+			s.prevNode[h] = -1
 			s.done[h] = -1
 			s.movedTick[h] = -1
 			continue
@@ -302,7 +309,7 @@ func (s *Store) RestoreSnapshot(slots []SlotState, free []Handle, idBound ID) er
 		s.flag[h] = st.Flag
 		s.moving[h] = st.Moving
 		s.origin[h] = st.Origin
-		s.prev[h] = st.Prev
+		s.prevNode[h] = st.Prev
 		s.hops[h] = st.Hops
 		s.birth[h] = st.Birth
 		s.done[h] = st.Done
@@ -493,17 +500,17 @@ func (g *Graph) Deps(a ID) []ID {
 }
 
 // WeightToQueue returns the summed dependency weight from a to tasks
-// resident in q — the Σ T term of the µs formula in §4.2, read with the
-// queue's O(1) dense membership index (two array loads per dependency, no
-// hashing). This is the µs hot path.
-func (g *Graph) WeightToQueue(a ID, q *Queue) float64 {
-	if g == nil || q == nil || q.Len() == 0 {
+// resident at node v of st — the Σ T term of the µs formula in §4.2, read
+// with the store's O(1) dense membership index (two array loads per
+// dependency, no hashing). This is the µs hot path.
+func (g *Graph) WeightToQueue(a ID, st *Store, v int) float64 {
+	if g == nil || st == nil || st.Queue(v).Len() == 0 {
 		return 0
 	}
 	cols, wts := g.m.row(a)
 	s := 0.0
 	for i, b := range cols {
-		if q.Has(b) {
+		if st.Has(v, b) {
 			s += wts[i]
 		}
 	}
@@ -546,61 +553,33 @@ func (r *Resources) Affinity(t ID, v int) float64 {
 	return r.m.at(t, int32(v))
 }
 
-// Queue is the multiset of tasks resident on one node, with the cached total
-// load h(v) = Σ l_{v,k} of §4.2. Membership and removal are O(1) through the
-// store's dense id→handle index and per-task node/slot lanes — no map.
-// A queue must be bound to a store (and a node id unique within that store)
-// with Init before use; the engine initialises one queue per node.
-//
-// Layout: resident handles live in buf[head:] in insertion order. Service
-// consumption pops from the front by advancing head (no shifting); the
-// vacated prefix is compacted away once it dominates the buffer.
+// Queue is the header of the multiset of tasks resident on one node, with
+// the cached total load h(v) = Σ l_{v,k} of §4.2. The store owns one header
+// per node and threads the residents through its next/prev lanes, head to
+// tail in insertion order. The zero value is an empty queue.
 type Queue struct {
-	st    *Store
-	node  int32
-	buf   []Handle
-	head  int
-	total float64
+	head, tail Handle // valid while n > 0
+	n          int32
+	total      float64
 }
 
-// Init binds the queue to its store and node id. Must be called before any
-// other method, and at most once.
-func (q *Queue) Init(st *Store, node int) {
-	q.st = st
-	q.node = int32(node)
-}
+// Len returns the number of resident tasks.
+func (q *Queue) Len() int { return int(q.n) }
 
-// Store returns the arena this queue is bound to.
-func (q *Queue) Store() *Store { return q.st }
+// Total returns h(v): the summed load of resident tasks. A pure read:
+// planning goroutines call it concurrently, so the drift guard lives in the
+// mutating operations instead.
+func (q *Queue) Total() float64 { return q.total }
 
-// Add inserts a task by handle, claiming its node/slot lanes.
-func (q *Queue) Add(h Handle) {
-	q.buf = append(q.buf, h)
-	q.total += q.st.load[h]
-	q.st.node[h] = q.node
-	q.st.slot[h] = int32(len(q.buf) - 1)
-}
-
-// Remove deletes the task with the given id and returns its handle, or
-// NoHandle when not resident here. Order of remaining tasks is preserved:
-// the slot lane locates the entry directly and only the tail after it
-// shifts.
-func (q *Queue) Remove(id ID) Handle {
-	h := q.st.HandleOf(id)
-	if h < 0 || q.st.node[h] != q.node {
+// Front returns the oldest resident task, or NoHandle when the queue is
+// empty. With Store.Next it is the in-order cursor over a node's tasks:
+//
+//	for h := q.Front(); h != NoHandle; h = st.Next(h) { … }
+func (q *Queue) Front() Handle {
+	if q.n == 0 {
 		return NoHandle
 	}
-	i := int(q.st.slot[h])
-	copy(q.buf[i:], q.buf[i+1:])
-	q.buf = q.buf[:len(q.buf)-1]
-	for j := i; j < len(q.buf); j++ {
-		q.st.slot[q.buf[j]] = int32(j)
-	}
-	q.st.node[h] = -1
-	q.st.slot[h] = -1
-	q.total -= q.st.load[h]
-	q.clampDrift()
-	return h
+	return q.head
 }
 
 // clampDrift zeroes sub-nanoscale negative totals left by repeated float
@@ -612,130 +591,156 @@ func (q *Queue) clampDrift() {
 	}
 }
 
-// Has reports whether the task with the given id is resident (O(1): the
-// store's dense id index plus the node lane).
-func (q *Queue) Has(id ID) bool {
-	h := q.st.HandleOf(id)
-	return h >= 0 && q.st.node[h] == q.node
+// GrowNodes extends the queue headers to n nodes, new ones empty. The
+// capacity is exact: append growth would over-allocate by up to a quarter.
+func (s *Store) GrowNodes(n int) {
+	if n > len(s.queues) {
+		s.queues = append(make([]Queue, 0, n), s.queues...)[:n]
+	}
 }
 
-// Len returns the number of resident tasks.
-func (q *Queue) Len() int { return len(q.buf) - q.head }
+// Queue returns node v's queue header; GrowNodes invalidates the pointer.
+func (s *Store) Queue(v int) *Queue { return &s.queues[v] }
 
-// Total returns h(v): the summed load of resident tasks. A pure read:
-// planning goroutines call it concurrently, so the drift guard lives in the
-// mutating operations instead.
-func (q *Queue) Total() float64 { return q.total }
+// Next returns the task queued behind h, or NoHandle at the tail.
+func (s *Store) Next(h Handle) Handle { return s.next[h] }
 
-// Handles returns the resident task handles in insertion order. The slice is
-// shared; callers must not modify it.
-func (q *Queue) Handles() []Handle { return q.buf[q.head:] }
-
-// compact drops the consumed prefix so buf does not grow without bound.
-func (q *Queue) compact() {
-	if q.head == 0 {
-		return
+// AppendHandles appends node v's residents to dst in insertion order, for
+// callers that need a copy rather than the cursor.
+func (s *Store) AppendHandles(dst []Handle, v int) []Handle {
+	for h := s.queues[v].Front(); h != NoHandle; h = s.next[h] {
+		dst = append(dst, h)
 	}
-	n := copy(q.buf, q.buf[q.head:])
-	q.buf = q.buf[:n]
-	for j := 0; j < n; j++ {
-		q.st.slot[q.buf[j]] = int32(j)
-	}
-	q.head = 0
+	return dst
 }
 
-// Restore rebuilds the queue's residency from handles (front-to-back order),
-// claiming the node/slot lanes, then overwrites the cached total with the
-// exact serialized bits — the cached float is accumulated state, and a
-// rebuilt sum could differ in the last ulp from the original's add/remove
-// history. The queue canonicalizes on restore: head is 0 regardless of where
-// the original buffer's consumed prefix stood (nothing behavioral reads
-// absolute buffer positions).
-func (q *Queue) Restore(handles []Handle, total float64) {
-	q.buf = q.buf[:0]
-	q.head = 0
-	for _, h := range handles {
-		q.Add(h)
+// Enqueue links task h, which must not be resident anywhere, at the tail of
+// node v's queue.
+func (s *Store) Enqueue(v int, h Handle) {
+	q := &s.queues[v]
+	s.next[h], s.prev[h] = NoHandle, NoHandle
+	if q.n == 0 {
+		q.head = h
+	} else {
+		s.next[q.tail], s.prev[h] = h, q.tail
 	}
-	q.total = total
+	q.tail = h
+	q.n++
+	q.total += s.load[h]
+	s.node[h] = int32(v)
 }
 
-// ConsumeServiceInto removes up to amount of load from the queue front
-// (FIFO), completing tasks whose load is fully consumed, and returns done
-// with the completed tasks' handles appended plus the load actually
+// unlink takes resident h out of q in O(1) and clears its node and link
+// lanes; the caller adjusts the total.
+func (s *Store) unlink(q *Queue, h Handle) {
+	p, n := s.prev[h], s.next[h]
+	if p == NoHandle {
+		q.head = n
+	} else {
+		s.next[p] = n
+	}
+	if n == NoHandle {
+		q.tail = p
+	} else {
+		s.prev[n] = p
+	}
+	q.n--
+	s.node[h], s.next[h], s.prev[h] = -1, NoHandle, NoHandle
+}
+
+// Remove deletes the task with the given id from node v's queue in O(1),
+// keeping the order of the rest, and returns its handle, or NoHandle when it
+// is not resident there.
+func (s *Store) Remove(v int, id ID) Handle {
+	if !s.Has(v, id) {
+		return NoHandle
+	}
+	h, q := s.byID[id], &s.queues[v]
+	s.unlink(q, h)
+	q.total -= s.load[h]
+	q.clampDrift()
+	return h
+}
+
+// Has reports whether the task with the given id is resident at node v
+// (O(1): the dense id index plus the node lane).
+func (s *Store) Has(v int, id ID) bool {
+	h := s.HandleOf(id)
+	return h >= 0 && s.node[h] == int32(v)
+}
+
+// RestoreTotal overwrites node v's cached total with exact serialized bits:
+// the total is accumulated state, and re-enqueueing the residents can sum
+// them differently in the last ulp.
+func (s *Store) RestoreTotal(v int, total float64) { s.queues[v].total = total }
+
+// ConsumeServiceInto removes up to amount of load from the front of node v's
+// queue (FIFO), completing tasks whose load is fully consumed, and returns
+// done with the completed tasks' handles appended plus the load actually
 // consumed. Partial consumption reduces a task's remaining load in place.
 // This models node service capacity in the non-quiescent experiments. done
 // may be nil or a reused batch buffer: the engine's sharded service phase
 // drains a whole shard of queues into one buffer without allocating.
-// Completed tasks leave the queue (node/slot lanes cleared) but stay alive
-// in the store until the caller releases them.
-func (q *Queue) ConsumeServiceInto(amount float64, now int64, done []Handle) ([]Handle, float64) {
-	st := q.st
+// Completed tasks leave the queue but stay alive in the store until the
+// caller releases them.
+func (s *Store) ConsumeServiceInto(v int, amount float64, now int64, done []Handle) ([]Handle, float64) {
+	q := &s.queues[v]
 	consumed := 0.0
-	for amount > 0 && q.head < len(q.buf) {
-		h := q.buf[q.head]
-		load := st.load[h]
+	for amount > 0 && q.n > 0 {
+		h := q.head
+		load := s.load[h]
 		if load <= amount {
 			amount -= load
 			consumed += load
 			q.total -= load
-			st.done[h] = now
-			st.node[h] = -1
-			st.slot[h] = -1
+			s.done[h] = now
+			s.unlink(q, h)
 			done = append(done, h)
-			q.head++
 		} else {
-			st.load[h] = load - amount
+			s.load[h] = load - amount
 			q.total -= amount
 			consumed += amount
 			amount = 0
 		}
 	}
 	q.clampDrift()
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	} else if q.head >= 16 && q.head*2 >= len(q.buf) {
-		q.compact()
-	}
 	return done, consumed
 }
 
-// CheckConsistency brute-force audits the queue against the store: every
-// resident handle alive, the id→handle index round-tripping, the node and
-// slot lanes agreeing with the buffer position, loads positive, and the
-// cached total matching a fresh scan. Harness/test use (O(n) per queue).
-func (q *Queue) CheckConsistency() error {
-	if q.st == nil {
-		if len(q.buf) != 0 {
-			return fmt.Errorf("unbound queue holds %d handles", len(q.buf))
+// CheckQueue brute-force audits node v's queue against the store: the links
+// form one list (each prev mirroring the next that reached it, ending at the
+// tail, as long as the count), every resident is alive, round-trips through
+// the id index and has v in its node lane, loads are positive, and the cached
+// total matches a fresh scan. The walk stops after Cap steps, so a cyclic
+// list is reported, never followed forever. Harness/test use.
+func (s *Store) CheckQueue(v int) error {
+	q := &s.queues[v]
+	sum, count, prev := 0.0, 0, NoHandle
+	for h := q.Front(); h != NoHandle; h = s.next[h] {
+		if count == len(s.id) {
+			return fmt.Errorf("list runs past %d arena slots (cycle)", len(s.id))
 		}
-		return nil
+		if h < 0 || int(h) >= len(s.id) {
+			return fmt.Errorf("position %d: handle %d out of range", count, h)
+		}
+		if s.prev[h] != prev {
+			return fmt.Errorf("position %d: handle %d has prev link %d, reached from %d", count, h, s.prev[h], prev)
+		}
+		if id := s.id[h]; id < 0 || s.HandleOf(id) != h {
+			return fmt.Errorf("position %d: handle %d is dead or not its id's (%d) handle", count, h, id)
+		}
+		if s.node[h] != int32(v) {
+			return fmt.Errorf("task %d: node lane %d, resident at %d", s.id[h], s.node[h], v)
+		}
+		if !(s.load[h] > 0) {
+			return fmt.Errorf("task %d: load %g", s.id[h], s.load[h])
+		}
+		sum += s.load[h]
+		count++
+		prev = h
 	}
-	st := q.st
-	sum := 0.0
-	for i := q.head; i < len(q.buf); i++ {
-		h := q.buf[i]
-		if h < 0 || int(h) >= len(st.id) {
-			return fmt.Errorf("slot %d: handle %d out of range", i, h)
-		}
-		id := st.id[h]
-		if id < 0 {
-			return fmt.Errorf("slot %d: handle %d is dead", i, h)
-		}
-		if got := st.HandleOf(id); got != h {
-			return fmt.Errorf("task %d: id index maps to handle %d, resident handle is %d", id, got, h)
-		}
-		if st.node[h] != q.node {
-			return fmt.Errorf("task %d: node lane %d, resident at %d", id, st.node[h], q.node)
-		}
-		if st.slot[h] != int32(i) {
-			return fmt.Errorf("task %d: slot lane %d, buffer position %d", id, st.slot[h], i)
-		}
-		if !(st.load[h] > 0) {
-			return fmt.Errorf("task %d: load %g", id, st.load[h])
-		}
-		sum += st.load[h]
+	if count != int(q.n) || count > 0 && q.tail != prev {
+		return fmt.Errorf("count %d, tail %d, but %d linked residents ending at %d", q.n, q.tail, count, prev)
 	}
 	if d := sum - q.total; d > 1e-6+1e-9*sum || d < -(1e-6+1e-9*sum) {
 		return fmt.Errorf("cached total %g but scan %g", q.total, sum)

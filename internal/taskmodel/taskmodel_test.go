@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
+	"unsafe"
 
 	"pplb/internal/rng"
 )
@@ -22,7 +24,7 @@ func TestNewTask(t *testing.T) {
 	if st.Moving(h) {
 		t.Fatal("new task must be stationary")
 	}
-	if st.Node(h) != -1 || st.Slot(h) != -1 {
+	if st.Node(h) != -1 || st.Next(h) != NoHandle || st.prev[h] != NoHandle {
 		t.Fatal("new task must not be enqueued")
 	}
 }
@@ -74,16 +76,16 @@ func TestGraphTotalAndSetWeight(t *testing.T) {
 	if d := g.Deps(1); !slices.Equal(d, []ID{2, 3}) || g.NumDeps() != 3 {
 		t.Fatalf("Deps(1) = %v, NumDeps = %d", d, g.NumDeps())
 	}
-	st, q := newTestQueue()
-	if w := g.WeightToQueue(1, q); w != 0 {
+	st, _ := newTestQueue()
+	if w := g.WeightToQueue(1, st, 0); w != 0 {
 		t.Fatalf("WeightToQueue(empty) = %v", w)
 	}
-	addTask(st, q, 2, 1)
-	if w := g.WeightToQueue(1, q); w != 2 {
+	addTask(st, 2, 1)
+	if w := g.WeightToQueue(1, st, 0); w != 2 {
 		t.Fatalf("WeightToQueue = %v", w)
 	}
-	addTask(st, q, 3, 1)
-	if w := g.WeightToQueue(1, q); w != 5 {
+	addTask(st, 3, 1)
+	if w := g.WeightToQueue(1, st, 0); w != 5 {
 		t.Fatalf("WeightToQueue = %v", w)
 	}
 }
@@ -127,42 +129,41 @@ func TestResources(t *testing.T) {
 	nilr.SetAffinity(1, 1, 1) // must not panic
 }
 
-// newTestQueue binds a fresh queue to a fresh store (node 0).
+// newTestQueue returns a fresh store with one node and that node's queue.
 func newTestQueue() (*Store, *Queue) {
 	st := NewStore()
-	q := &Queue{}
-	q.Init(st, 0)
-	return st, q
+	st.GrowNodes(1)
+	return st, st.Queue(0)
 }
 
-// addTask creates a task in st and enqueues it.
-func addTask(st *Store, q *Queue, id ID, load float64) Handle {
+// addTask creates a task in st and enqueues it at node 0.
+func addTask(st *Store, id ID, load float64) Handle {
 	h := st.Create(id, load, 0, 0)
-	q.Add(h)
+	st.Enqueue(0, h)
 	return h
 }
 
 func TestQueueAddRemove(t *testing.T) {
 	st, q := newTestQueue()
-	a := addTask(st, q, 1, 2)
-	addTask(st, q, 2, 3)
+	a := addTask(st, 1, 2)
+	addTask(st, 2, 3)
 	if q.Len() != 2 || q.Total() != 5 {
 		t.Fatalf("Len/Total = %d/%v", q.Len(), q.Total())
 	}
-	if !q.Has(1) || q.Has(9) {
+	if !st.Has(0, 1) || st.Has(0, 9) {
 		t.Fatal("Has wrong")
 	}
-	got := q.Remove(1)
+	got := st.Remove(0, 1)
 	if got != a {
 		t.Fatal("Remove returned wrong handle")
 	}
-	if q.Len() != 1 || q.Total() != 3 || q.Has(1) {
+	if q.Len() != 1 || q.Total() != 3 || st.Has(0, 1) {
 		t.Fatal("Remove did not update state")
 	}
-	if q.Remove(42) != NoHandle {
+	if st.Remove(0, 42) != NoHandle {
 		t.Fatal("Remove of absent id must return NoHandle")
 	}
-	if err := q.CheckConsistency(); err != nil {
+	if err := st.CheckQueue(0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -204,9 +205,9 @@ func TestStoreRecycle(t *testing.T) {
 
 func TestQueueConsumeService(t *testing.T) {
 	st, q := newTestQueue()
-	addTask(st, q, 1, 2)
-	addTask(st, q, 2, 3)
-	done, consumed := q.ConsumeServiceInto(4, 10, nil)
+	addTask(st, 1, 2)
+	addTask(st, 2, 3)
+	done, consumed := st.ConsumeServiceInto(0, 4, 10, nil)
 	if consumed != 4 {
 		t.Fatalf("consumed = %v", consumed)
 	}
@@ -220,15 +221,15 @@ func TestQueueConsumeService(t *testing.T) {
 		t.Fatalf("queue after service: len=%d total=%v", q.Len(), q.Total())
 	}
 	// Remaining task partially consumed.
-	if rest := st.Load(q.Handles()[0]); math.Abs(rest-1) > 1e-12 {
+	if rest := st.Load(st.AppendHandles(nil, 0)[0]); math.Abs(rest-1) > 1e-12 {
 		t.Fatalf("partial consumption wrong: %v", rest)
 	}
 }
 
 func TestQueueConsumeMoreThanAvailable(t *testing.T) {
 	st, q := newTestQueue()
-	addTask(st, q, 1, 2)
-	done, consumed := q.ConsumeServiceInto(10, 0, nil)
+	addTask(st, 1, 2)
+	done, consumed := st.ConsumeServiceInto(0, 10, 0, nil)
 	if consumed != 2 || len(done) != 1 || q.Len() != 0 || q.Total() != 0 {
 		t.Fatal("consuming more than available must drain exactly the queue")
 	}
@@ -244,30 +245,30 @@ func TestQueueTotalInvariantQuick(t *testing.T) {
 		for _, op := range ops {
 			switch op % 3 {
 			case 0:
-				addTask(st, q, nextID, float64(op%7)+0.5)
+				addTask(st, nextID, float64(op%7)+0.5)
 				nextID++
 			case 1:
 				if q.Len() > 0 {
-					victim := st.ID(q.Handles()[r.Intn(q.Len())])
-					st.Release(q.Remove(victim))
+					victim := st.ID(st.AppendHandles(nil, 0)[r.Intn(q.Len())])
+					st.Release(st.Remove(0, victim))
 				}
 			case 2:
-				done, _ := q.ConsumeServiceInto(float64(op%5), 0, nil)
+				done, _ := st.ConsumeServiceInto(0, float64(op%5), 0, nil)
 				for _, h := range done {
 					st.Release(h)
 				}
 			}
 			want := 0.0
-			for _, h := range q.Handles() {
+			for _, h := range st.AppendHandles(nil, 0) {
 				want += st.Load(h)
 			}
 			if math.Abs(q.Total()-want) > 1e-9 {
 				return false
 			}
-			if q.Len() != len(q.Handles()) {
+			if q.Len() != len(st.AppendHandles(nil, 0)) {
 				return false
 			}
-			if err := q.CheckConsistency(); err != nil {
+			if err := st.CheckQueue(0); err != nil {
 				return false
 			}
 			if q.Len() != st.Live() {
@@ -284,10 +285,10 @@ func TestQueueTotalInvariantQuick(t *testing.T) {
 func BenchmarkQueueAddRemove(b *testing.B) {
 	st, q := newTestQueue()
 	for i := 0; i < b.N; i++ {
-		addTask(st, q, ID(i), 1)
+		addTask(st, ID(i), 1)
 		if q.Len() > 64 {
-			h := q.Handles()[0]
-			st.Release(q.Remove(st.ID(h)))
+			h := st.AppendHandles(nil, 0)[0]
+			st.Release(st.Remove(0, st.ID(h)))
 		}
 	}
 }
@@ -298,19 +299,19 @@ func TestWeightToQueue(t *testing.T) {
 	g.SetDep(1, 3, 3)
 	g.SetDep(1, 4, 5)
 	g.SetDep(2, 3, 7)
-	st, q := newTestQueue()
-	addTask(st, q, 2, 1)
-	addTask(st, q, 4, 1)
+	st, _ := newTestQueue()
+	addTask(st, 2, 1)
+	addTask(st, 4, 1)
 	// Tasks 2 and 4 are resident: only their edges count.
 	for id, want := range map[ID]float64{1: 7, 2: 0, 3: 7, 99: 0} {
-		if got := g.WeightToQueue(id, q); got != want {
+		if got := g.WeightToQueue(id, st, 0); got != want {
 			t.Fatalf("task %d: WeightToQueue=%v, want %v", id, got, want)
 		}
 	}
-	if got := g.WeightToQueue(1, nil); got != 0 {
-		t.Fatalf("nil queue: got %v", got)
+	if got := g.WeightToQueue(1, nil, 0); got != 0 {
+		t.Fatalf("nil store: got %v", got)
 	}
-	if got := (*Graph)(nil).WeightToQueue(1, q); got != 0 {
+	if got := (*Graph)(nil).WeightToQueue(1, st, 0); got != 0 {
 		t.Fatalf("nil graph: got %v", got)
 	}
 }
@@ -335,17 +336,16 @@ func TestGraphLazyRebuildAfterMutation(t *testing.T) {
 	}
 }
 
-// Interleaved Add/Remove/ConsumeServiceInto must preserve FIFO order and keep the
-// id index, total and Len consistent — this exercises the head-offset layout.
+// Interleaved Enqueue/Remove/ConsumeServiceInto must preserve FIFO order and
+// keep the id index, total and Len consistent.
 func TestQueueInterleavedOps(t *testing.T) {
 	st, q := newTestQueue()
 	for i := 0; i < 40; i++ {
-		addTask(st, q, ID(i), 1)
+		addTask(st, ID(i), 1)
 	}
-	// Consume a long prefix one task at a time to advance head far enough to
-	// trigger compaction.
+	// Consume a long prefix one task at a time.
 	for i := 0; i < 25; i++ {
-		done, consumed := q.ConsumeServiceInto(1, 0, nil)
+		done, consumed := st.ConsumeServiceInto(0, 1, 0, nil)
 		if len(done) != 1 || st.ID(done[0]) != ID(i) || consumed != 1 {
 			t.Fatalf("consume %d: done=%v consumed=%v", i, done, consumed)
 		}
@@ -355,17 +355,17 @@ func TestQueueInterleavedOps(t *testing.T) {
 		t.Fatalf("Len = %d, want 15", q.Len())
 	}
 	// Remove from the middle of the surviving window.
-	if got := q.Remove(30); got < 0 || st.ID(got) != 30 {
+	if got := st.Remove(0, 30); got < 0 || st.ID(got) != 30 {
 		t.Fatalf("Remove(30) = %v", got)
 	} else {
 		st.Release(got)
 	}
-	if q.Has(30) {
+	if st.Has(0, 30) {
 		t.Fatal("removed id still reported resident")
 	}
 	// FIFO order intact, index consistent.
 	want := []ID{25, 26, 27, 28, 29, 31, 32, 33, 34, 35, 36, 37, 38, 39}
-	hs := q.Handles()
+	hs := st.AppendHandles(nil, 0)
 	if len(hs) != len(want) {
 		t.Fatalf("Len = %d, want %d", len(hs), len(want))
 	}
@@ -373,26 +373,26 @@ func TestQueueInterleavedOps(t *testing.T) {
 		if st.ID(hs[i]) != id {
 			t.Fatalf("slot %d: got id %d, want %d", i, st.ID(hs[i]), id)
 		}
-		if !q.Has(id) {
+		if !st.Has(0, id) {
 			t.Fatalf("Has(%d) = false for resident task", id)
 		}
 	}
-	if err := q.CheckConsistency(); err != nil {
+	if err := st.CheckQueue(0); err != nil {
 		t.Fatal(err)
 	}
 	// Remove/re-add every task: the index must stay consistent throughout,
 	// and released slots recycle through the free-list.
 	for _, id := range want {
-		got := q.Remove(id)
+		got := st.Remove(0, id)
 		if got < 0 || st.ID(got) != id {
 			t.Fatalf("Remove(%d) = %v", id, got)
 		}
-		if q.Has(id) {
+		if st.Has(0, id) {
 			t.Fatalf("Has(%d) = true after removal", id)
 		}
 		st.Release(got)
-		addTask(st, q, id, 1)
-		if !q.Has(id) {
+		addTask(st, id, 1)
+		if !st.Has(0, id) {
 			t.Fatalf("Has(%d) = false after re-add", id)
 		}
 	}
@@ -402,7 +402,7 @@ func TestQueueInterleavedOps(t *testing.T) {
 	if q.Len() != len(want) {
 		t.Fatalf("Len = %d, want %d", q.Len(), len(want))
 	}
-	if err := q.CheckConsistency(); err != nil {
+	if err := st.CheckQueue(0); err != nil {
 		t.Fatal(err)
 	}
 	if st.Live() != len(want) {
@@ -415,12 +415,12 @@ func TestQueueInterleavedOps(t *testing.T) {
 func TestQueueConsumeServiceInto(t *testing.T) {
 	st, q := newTestQueue()
 	for i := 0; i < 4; i++ {
-		addTask(st, q, ID(i), 1)
+		addTask(st, ID(i), 1)
 	}
 	marker := st.Create(100, 1, 0, 0) // never enqueued
 	buf := make([]Handle, 0, 8)
 	buf = append(buf, marker) // pre-existing entries survive
-	done, consumed := q.ConsumeServiceInto(2.5, 9, buf)
+	done, consumed := st.ConsumeServiceInto(0, 2.5, 9, buf)
 	if consumed != 2.5 {
 		t.Fatalf("consumed = %v, want 2.5", consumed)
 	}
@@ -434,7 +434,7 @@ func TestQueueConsumeServiceInto(t *testing.T) {
 		t.Fatalf("queue after partial service: len=%d total=%v, want 2, 1.5", q.Len(), q.Total())
 	}
 	// A nil buffer allocates a fresh one.
-	done2, consumed2 := q.ConsumeServiceInto(10, 11, nil)
+	done2, consumed2 := st.ConsumeServiceInto(0, 10, 11, nil)
 	if consumed2 != 1.5 || len(done2) != 2 {
 		t.Fatalf("nil-buffer drain: done=%d consumed=%v", len(done2), consumed2)
 	}
@@ -474,9 +474,9 @@ func TestSparseMatchesOracle(t *testing.T) {
 			g, res := NewGraph(), NewResources()
 			wantT := map[[2]ID]float64{}
 			wantR := map[ID]map[int]float64{}
-			st, q := newTestQueue()
+			st, _ := newTestQueue()
 			for _, id := range tc.resident {
-				addTask(st, q, id, 1)
+				addTask(st, id, 1)
 			}
 			r := rng.New(7)
 			weights := []float64{0, 0.5, 1.25, 3}
@@ -505,7 +505,7 @@ func TestSparseMatchesOracle(t *testing.T) {
 						}
 						if want != 0 {
 							deps = append(deps, b)
-							if q.Has(b) {
+							if st.Has(0, b) {
 								toQueue += want
 							}
 						}
@@ -514,7 +514,7 @@ func TestSparseMatchesOracle(t *testing.T) {
 					if got := g.Deps(a); !slices.Equal(got, deps) {
 						t.Fatalf("step %d: Deps(%d) = %v, want %v", step, a, got, deps)
 					}
-					if got := g.WeightToQueue(a, q); got != toQueue {
+					if got := g.WeightToQueue(a, st, 0); got != toQueue {
 						t.Fatalf("step %d: WeightToQueue(%d) = %v, want %v", step, a, got, toQueue)
 					}
 					for _, v := range append([]int{1}, nodes...) {
@@ -540,14 +540,14 @@ func TestSparseMatchesOracle(t *testing.T) {
 func TestSparseParallelFirstRead(t *testing.T) {
 	const tasks, readers = 64, 8
 	g, res := NewGraph(), NewResources()
-	st, q := newTestQueue()
+	st, _ := newTestQueue()
 	for id := ID(0); id < tasks; id += 3 {
-		addTask(st, q, id, 1)
+		addTask(st, id, 1)
 	}
 	readAll := func() []float64 {
 		out := []float64{float64(g.NumDeps())}
 		for a := ID(0); a < tasks; a++ {
-			out = append(out, g.WeightToQueue(a, q), g.Weight(a, (a+1)%tasks), res.Affinity(a, int(a%5)))
+			out = append(out, g.WeightToQueue(a, st, 0), g.Weight(a, (a+1)%tasks), res.Affinity(a, int(a%5)))
 			for _, b := range g.Deps(a) {
 				out = append(out, float64(b))
 			}
@@ -580,5 +580,65 @@ func TestSparseParallelFirstRead(t *testing.T) {
 				t.Fatalf("round %d: reader %d saw %v, sequential read %v", round, i, got[i], want)
 			}
 		}
+	}
+}
+
+// The per-node queue header is the whole per-node cost of residency: head,
+// tail and count handles plus the cached total.
+func TestQueueHeaderSize(t *testing.T) {
+	if got := unsafe.Sizeof(Queue{}); got != 24 {
+		t.Fatalf("Queue header is %d bytes, want 24", got)
+	}
+}
+
+// CheckQueue must report every way the link lanes can be corrupted, and
+// return rather than follow a cyclic list forever.
+func TestCheckQueueDetectsCorruptLinks(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(st *Store, hs []Handle)
+	}{
+		{"cycle", func(st *Store, hs []Handle) { st.next[hs[3]] = hs[1] }},
+		{"self-loop", func(st *Store, hs []Handle) {
+			st.next[hs[2]], st.prev[hs[2]] = hs[2], hs[2]
+		}},
+		{"wrong prev", func(st *Store, hs []Handle) { st.prev[hs[2]] = hs[0] }},
+		{"head with a prev", func(st *Store, hs []Handle) { st.prev[hs[0]] = hs[3] }},
+		{"stale tail", func(st *Store, hs []Handle) { st.queues[0].tail = hs[2] }},
+		{"count too high", func(st *Store, hs []Handle) { st.queues[0].n++ }},
+		{"count too low", func(st *Store, hs []Handle) { st.queues[0].n-- }},
+		{"negative count", func(st *Store, hs []Handle) { st.queues[0].n = -1 }},
+		{"truncated list", func(st *Store, hs []Handle) { st.next[hs[1]] = NoHandle }},
+		{"link out of range", func(st *Store, hs []Handle) { st.next[hs[1]] = Handle(st.Cap() + 5) }},
+		{"link to a dead slot", func(st *Store, hs []Handle) {
+			st.Release(hs[4])
+			st.next[hs[1]], st.prev[hs[4]] = hs[4], hs[1]
+		}},
+		{"node lane elsewhere", func(st *Store, hs []Handle) { st.node[hs[1]] = 1 }},
+		{"total drift", func(st *Store, hs []Handle) { st.queues[0].total += 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := NewStore()
+			st.GrowNodes(2)
+			var hs []Handle
+			for id := ID(0); id < 4; id++ {
+				hs = append(hs, addTask(st, id, 1))
+			}
+			hs = append(hs, st.Create(4, 1, 0, 0)) // live, never enqueued
+			if err := st.CheckQueue(0); err != nil {
+				t.Fatalf("intact queue: %v", err)
+			}
+			tc.corrupt(st, hs)
+			done := make(chan error, 1)
+			go func() { done <- st.CheckQueue(0) }()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("corruption not reported")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("CheckQueue did not return")
+			}
+		})
 	}
 }
