@@ -58,10 +58,6 @@ import (
 // usable (all frictions zero, defaults applied by New); start from
 // DefaultConfig for the experiment settings.
 type Config struct {
-	// G is gravitational acceleration; load heights and energies scale with
-	// it uniformly so 1 is the natural unit.
-	G float64
-
 	// CsT and CsR weight the two components of static friction µs:
 	// dependency to co-located tasks (Σ T) and resource affinity (R).
 	CsT float64
@@ -107,7 +103,6 @@ type Config struct {
 // sweep overrides specific constants.
 func DefaultConfig() Config {
 	return Config{
-		G:      1,
 		CsT:    1,
 		CsR:    1,
 		CkProp: 0.1,
@@ -161,8 +156,8 @@ func (c Config) Validate() error {
 		name string
 		v    float64
 	}{
-		{"G", c.G}, {"CsT", c.CsT}, {"CsR", c.CsR},
-		{"CkProp", c.CkProp}, {"Ck0", c.Ck0}, {"EnergyDamping", c.EnergyDamping},
+		{"CsT", c.CsT}, {"CsR", c.CsR}, {"CkProp", c.CkProp},
+		{"Ck0", c.Ck0}, {"EnergyDamping", c.EnergyDamping},
 	} {
 		if err := check(f.name, f.v); err != nil {
 			return err
@@ -182,9 +177,6 @@ func New(cfg Config) *Balancer {
 	ch := cfg.Arbiter
 	if ch == nil {
 		ch = arbiter.DefaultStochastic()
-	}
-	if cfg.G <= 0 {
-		cfg.G = 1
 	}
 	b := &Balancer{cfg: cfg, chooser: ch}
 	b.scratch.New = func() any { return new(planScratch) }

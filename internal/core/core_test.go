@@ -521,7 +521,6 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("zero config invalid: %v", err)
 	}
 	bad := []Config{
-		{G: math.NaN()},
 		{CsT: math.Inf(1)},
 		{Ck0: -0.1},
 		{EnergyDamping: 1.5},

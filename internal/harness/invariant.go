@@ -35,7 +35,6 @@ type Invariant interface {
 func StandardInvariants() []Invariant {
 	return []Invariant{
 		&loadConservation{},
-		&queueSanity{},
 		&transferAccounting{},
 		&counterSanity{},
 		&storeConsistency{},
@@ -70,40 +69,8 @@ func (loadConservation) Check(s *sim.State) string {
 	return ""
 }
 
-// queueSanity checks per-node queue state: no negative totals, no
-// non-positive task loads, and the cached total agreeing with a direct scan
-// of the resident tasks (the O(1) hot-path read must not drift from truth).
-type queueSanity struct{}
-
-func (queueSanity) Name() string { return "queue-sanity" }
-
-func (queueSanity) Check(s *sim.State) string {
-	st := s.TaskStore()
-	for v := 0; v < s.Graph().N(); v++ {
-		q := s.Queue(v)
-		total := q.Total()
-		if total < -1e-9 || math.IsNaN(total) {
-			return fmt.Sprintf("node %d cached total %g", v, total)
-		}
-		scan := 0.0
-		for h := q.Front(); h != taskmodel.NoHandle; h = st.Next(h) {
-			load := st.Load(h)
-			if !(load > 0) {
-				return fmt.Sprintf("node %d task %d has load %g", v, st.ID(h), load)
-			}
-			scan += load
-		}
-		if d := math.Abs(scan - total); d > conservationTol(scan) {
-			return fmt.Sprintf("node %d cached total %g but task scan %g", v, total, scan)
-		}
-	}
-	return ""
-}
-
-// transferAccounting checks the SoA transfer store against its incremental
-// aggregates and the link occupancy table: each in-flight transfer occupies
-// exactly one link, and the per-destination in-flight loads sum to the
-// global in-flight load.
+// transferAccounting checks the SoA transfer store against the link
+// occupancy table: each in-flight transfer occupies exactly one link.
 type transferAccounting struct{}
 
 func (transferAccounting) Name() string { return "transfer-accounting" }
@@ -119,28 +86,14 @@ func (transferAccounting) Check(s *sim.State) string {
 	if inflight := s.InFlight(); busy != inflight {
 		return fmt.Sprintf("%d busy links but %d transfers in flight", busy, inflight)
 	}
-	sum := 0.0
-	for v := 0; v < s.Graph().N(); v++ {
-		to := view.InFlightTo(v)
-		if to < -1e-6 || math.IsNaN(to) {
-			return fmt.Sprintf("InFlightTo(%d) = %g", v, to)
-		}
-		sum += to
-	}
-	if d := math.Abs(sum - s.InFlightLoad()); d > conservationTol(sum) {
-		return fmt.Sprintf("sum InFlightTo = %g but InFlightLoad = %g", sum, s.InFlightLoad())
-	}
-	if s.InFlight() == 0 && s.InFlightLoad() != 0 {
-		return fmt.Sprintf("empty network but InFlightLoad = %g", s.InFlightLoad())
-	}
 	return ""
 }
 
 // storeConsistency audits the arena against a brute-force scan: every
-// queue's threaded list, node lanes and cached total agree with the store
-// (Store.CheckQueue, a walk bounded by the arena size), every in-flight
-// transfer holds a live handle, the live-slot count matches residents +
-// in-flight, and the id→handle index round-trips for every id ever issued.
+// queue's threaded list, node lanes, task loads and cached total agree with
+// the store (Store.CheckQueue, a walk bounded by the arena size), every
+// in-flight transfer holds a live handle, the live-slot count matches
+// residents + in-flight, and the id→handle index round-trips for every id ever issued.
 // This is the recycle-churn safety net: a free-list bug (double release,
 // stale byID entry, a next/prev link left dangling by an unlink) surfaces
 // here even when load totals happen to balance out.

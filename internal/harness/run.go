@@ -131,7 +131,7 @@ func Run(spec Spec) *Outcome {
 		if tick == sc.Ticks && tick != snapTick {
 			// Round-trip the final state too: the midpoint round-trip ran
 			// before the late-run regime (drained arrivals, recycled slots,
-			// quiescent in-flight aggregates) existed to encode.
+			// an emptied network) existed to encode.
 			if v := checkRoundTrip(sc, primary, int64(tick)); v != nil {
 				out.Violation = v
 				return out

@@ -23,9 +23,9 @@ const (
 	// the heights of v's neighbours, the busy flags of v's incident links —
 	// plus static configuration (topology, link parameters, speeds, dependency and
 	// resource matrices). It must not depend on the tick number, on
-	// randomness, on InFlightTo, or on mutable policy-internal state. The
-	// contract constrains only the *empty* outcome: a node that proposes
-	// moves is unconditionally re-planned next tick, so arbiter randomness,
+	// randomness, or on mutable policy-internal state. The contract
+	// constrains only the *empty* outcome: a node that proposes moves is
+	// unconditionally re-planned next tick, so arbiter randomness,
 	// annealing schedules and anything else behind a non-empty candidate set
 	// remain fair game.
 	LocalityNeighborhood

@@ -63,8 +63,8 @@ type Reconfig struct {
 //     node's alive neighbours under the OLD graph, falling back to the
 //     lowest-id alive node when none survive. No task is ever lost.
 //  3. Every per-node structure is regrown to the new id space, the shard
-//     partition is recomputed, link-busy state and the in-flight aggregates
-//     are rebuilt exactly from the surviving transfers, and the active set
+//     partition is recomputed, the transfer shards and link-busy state are
+//     rebuilt exactly from the surviving transfers, and the active set
 //     (when enabled) is rebuilt over the new node range with every node
 //     activated — the incremental planner re-earns its converged frontier
 //     under the new topology instead of trusting stale marks.
@@ -189,10 +189,10 @@ func (e *Engine) Reconfigure(rc Reconfig) error {
 	}
 
 	// 2. Swap in the new topology and lay the engine out over it: existing
-	// queues carry over untouched in the store, the link, in-flight and
-	// occupancy state is reset for exact rebuild below, and the active set
-	// restarts with every node activated — the one canonical state both the
-	// incremental and full-sweep engines agree on across a rebuild.
+	// queues carry over untouched in the store, the link and occupancy state
+	// is reset for exact rebuild below, and the active set restarts with
+	// every node activated — the one canonical state both the incremental
+	// and full-sweep engines agree on across a rebuild.
 	s.g = rc.Graph
 	s.links = rc.Links
 	s.speeds = speeds
@@ -237,15 +237,11 @@ func (e *Engine) Reconfigure(rc Reconfig) error {
 
 	// 4. Rebuild the derived indexes exactly: occupancy, per-shard task
 	// counts, the transfer shards (push order = canonical pre-reconfig
-	// order), link-busy flags and the in-flight aggregates.
+	// order) and link-busy flags.
 	s.reindex()
 	for _, r := range kept {
 		s.shards[s.nodeShard[r.to]].push(r)
 		s.linkBusy[r.edge] = true
-		load := st.Load(r.task)
-		s.inflightTo[r.to] += load
-		s.inflightLoad += load
-		e.touchInflight(r.to)
 	}
 
 	// 5. Inertia records carry the node a task was delivered to; recalls and

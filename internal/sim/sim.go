@@ -173,19 +173,6 @@ type State struct {
 	shardLo   [numShards + 1]int
 	nodeShard []uint8
 
-	// Incremental aggregates, maintained as transfers start and resolve so
-	// the per-tick hot-path reads are O(1) instead of scans.
-	inflightTo   []float64 // load in flight towards each node
-	inflightLoad float64   // Σ load over all transfers
-
-	// inflightStamp[v] == inflightEpoch marks v as touched in inflightTo
-	// since the last aggregate reset, so the reset zeroes only the touched
-	// entries (recorded per shard) instead of memclr-ing all N floats.
-	// Stamps are written only by the shard that owns v, epochs only advance
-	// in the single-threaded reduce.
-	inflightStamp []int32
-	inflightEpoch int32
-
 	counters Counters
 	respTime stats.Online // response time of completed tasks
 
@@ -346,11 +333,6 @@ func (v *View) LinkBusy(u, w int) bool {
 // occupied (see topology.Graph.IncidentEdgeIDs); no map lookup.
 func (v *View) LinkBusyEdge(id int) bool { return v.s.linkBusy[id] }
 
-// InFlightTo returns the total load currently in flight towards node n,
-// letting policies damp thundering-herd effects. O(1): the engine maintains
-// the aggregate as transfers start, bounce and deliver.
-func (v *View) InFlightTo(n int) float64 { return v.s.inflightTo[n] }
-
 // Loads materialises all node loads.
 func (v *View) Loads() []float64 { return v.s.Loads() }
 
@@ -443,9 +425,18 @@ func (s *State) InFlight() int {
 	return n
 }
 
-// InFlightLoad returns the total load currently on links (O(1), maintained
-// incrementally).
-func (s *State) InFlightLoad() float64 { return s.inflightLoad }
+// InFlightLoad returns the total load currently on links, summed over the
+// transfers in canonical order (see VisitTransfers), so the value is the
+// same at every worker count. O(transfers in flight).
+func (s *State) InFlightLoad() float64 {
+	t := 0.0
+	for k := range s.shards {
+		for _, h := range s.shards[k].task {
+			t += s.tasks.Load(h)
+		}
+	}
+	return t
+}
 
 // TotalLoad returns resident + in-flight load.
 func (s *State) TotalLoad() float64 {
@@ -564,8 +555,7 @@ type Engine struct {
 	// Per-shard per-tick scratch (outboxes + partial reductions).
 	parts [numShards]shardPart
 
-	movingNext   []movingRec // scratch for rebuilding movingResident
-	hadTransfers bool        // transfers existed when advancement began
+	movingNext []movingRec // scratch for rebuilding movingResident
 
 	// fanShards is the scratch list of shard ids behind the subset fan-outs
 	// (active planning shards, occupied service shards). Phases run
@@ -685,10 +675,10 @@ func New(cfg Config) (*Engine, error) {
 // state derived from the topology. Per-node slices grow to exactly N by
 // make+copy — append growth would over-allocate by up to a quarter at 1M
 // nodes — and the store's queue headers carry over. The shard partition is
-// recomputed; link-busy and link-claim flags, the in-flight aggregates and the
-// occupancy index start empty; and the active set, when the policy plans
-// incrementally, starts with every node activated. New, Reconfigure and
-// Restore all lay the engine out here.
+// recomputed; link-busy and link-claim flags and the occupancy index start
+// empty; and the active set, when the policy plans incrementally, starts with
+// every node activated. New, Reconfigure and Restore all lay the engine out
+// here.
 func (e *Engine) layout() {
 	s := e.state
 	n := s.g.N()
@@ -706,13 +696,6 @@ func (e *Engine) layout() {
 	}
 	s.linkBusy = make([]bool, s.g.NumEdges())
 	e.loClaim = make([]bool, s.g.NumEdges())
-	s.inflightTo = make([]float64, n)
-	s.inflightStamp = make([]int32, n)
-	s.inflightEpoch = 1
-	s.inflightLoad = 0
-	for k := range e.parts {
-		e.parts[k].inflightTouched = e.parts[k].inflightTouched[:0]
-	}
 	s.occupied = newNodeBits(n)
 	for k := range s.shardTasks {
 		s.shardTasks[k].n = 0
@@ -894,8 +877,7 @@ func (e *Engine) Step() {
 	// stream keyed by (task, tick), so they are independent of processing
 	// order; faulted transfers bounce towards their sender through the
 	// outboxes, committed shard-canonically like fresh transfers.
-	e.hadTransfers = s.InFlight() > 0
-	if e.hadTransfers {
+	if s.InFlight() > 0 {
 		e.faultBase.SplitInto(uint64(s.tick), &e.tickFault)
 		e.fanOut(numShards, e.runAdvance)
 		if e.outboxesPending() {
@@ -1121,7 +1103,6 @@ func (e *Engine) applyShard(k int, _ *rng.RNG) {
 		}
 		s.linkBusy[eid] = true // sole winner of this link writes it
 		st.SetMovedTick(h, s.tick)
-		p.inflightD += st.Load(h)
 		dst := s.nodeShard[m.To]
 		p.outMask |= 1 << dst
 		p.out[dst] = append(p.out[dst], transferRec{
@@ -1136,10 +1117,8 @@ func (e *Engine) applyShard(k int, _ *rng.RNG) {
 }
 
 // commitOutboxes drains every shard's outbox slot for shard j, in ascending
-// source-shard order, into j's transfer store, maintaining the in-flight
-// aggregate of the receiving nodes (all owned by j). The occupancy masks
-// keep the all-pairs scan to 16 hot words instead of 256 scattered slice
-// headers.
+// source-shard order, into j's transfer store. The occupancy masks keep the
+// all-pairs scan to 16 hot words instead of 256 scattered slice headers.
 func (e *Engine) commitOutboxes(j int) {
 	s := e.state
 	sh := &s.shards[j]
@@ -1151,9 +1130,6 @@ func (e *Engine) commitOutboxes(j int) {
 		recs := e.parts[k].out[j]
 		for i := range recs {
 			sh.push(recs[i])
-			to := recs[i].to
-			s.inflightTo[to] += s.tasks.Load(recs[i].task)
-			e.touchInflight(to)
 		}
 		e.parts[k].out[j] = recs[:0]
 	}
@@ -1217,7 +1193,6 @@ func (e *Engine) advanceShard(k int, r *rng.RNG) {
 					// recovery, not a fresh transmission).
 					p.counters.Faults++
 					p.counters.BouncedTraffic += load * cost
-					s.inflightTo[sh.to[i]] -= load
 					dst := s.nodeShard[sh.from[i]]
 					p.outMask |= 1 << dst
 					p.out[dst] = append(p.out[dst], transferRec{
@@ -1239,11 +1214,8 @@ func (e *Engine) advanceShard(k int, r *rng.RNG) {
 		s.noteTaskAdded(to)
 		// to's load rose and the link freed; the sender is a neighbour of
 		// to, so the neighbourhood mark re-activates it as well. A bounce
-		// *start* needs no mark: the link stays busy and only inflightTo
-		// changes, which is outside the locality contract.
+		// *start* needs no mark: the link stays busy and no height changes.
 		e.markDirtyNeighborhood(to)
-		s.inflightTo[to] -= load
-		p.inflightD -= load
 		if sh.bounce[i] {
 			st.SetMoving(h, false)
 		} else {
@@ -1296,7 +1268,7 @@ func (e *Engine) serviceShard(k int, _ *rng.RNG) {
 
 // reduce folds every shard partial into the global state in ascending shard
 // order — the single canonical summation order shared by the sequential and
-// parallel engines — then maintains the in-flight aggregates' drift guards.
+// parallel engines.
 func (e *Engine) reduce() {
 	s := e.state
 	st := s.tasks
@@ -1308,7 +1280,6 @@ func (e *Engine) reduce() {
 		}
 		p.dirty = false
 		s.counters.add(p.counters)
-		s.inflightLoad += p.inflightD
 		// Completed tasks leave the arena here — inside the ascending-shard
 		// fold, so the free-list order (and with it every future handle
 		// assignment) is identical no matter which worker ran which shard.
@@ -1319,70 +1290,10 @@ func (e *Engine) reduce() {
 		}
 		next = append(next, p.moving...)
 		p.counters = Counters{}
-		p.inflightD = 0
 		p.done = p.done[:0]
 		p.moving = p.moving[:0]
 	}
 	old := s.movingResident
 	e.movingNext = old[:0]
 	s.movingResident = next
-
-	if e.hadTransfers && s.InFlight() == 0 {
-		// Quiescent network: reset the aggregates so incremental float
-		// arithmetic cannot leave residual drift behind. Only the entries
-		// touched since the last reset can be non-zero, so the sweep is
-		// O(touched), not O(N).
-		s.inflightLoad = 0
-		e.resetInflightTo()
-	} else if s.tick&0x1fff == 0 && (s.inflightLoad != 0 || s.InFlight() > 0) {
-		// Runs that never quiesce would otherwise accumulate rounding
-		// residue in the incremental aggregates forever; rebuild them
-		// exactly from the live transfers at a low fixed cadence. An idle
-		// network skips the rebuild: the quiescent reset above zeroed both
-		// the scalar and the vector together, so there is nothing to
-		// rebuild and a steady-state tick stays O(active), not O(N).
-		s.inflightLoad = 0
-		e.resetInflightTo()
-		for k := range s.shards {
-			sh := &s.shards[k]
-			for i, h := range sh.task {
-				load := st.Load(h)
-				to := sh.to[i]
-				s.inflightTo[to] += load
-				s.inflightLoad += load
-				e.touchInflight(to)
-			}
-		}
-	}
-}
-
-// touchInflight records node to on its shard's touched list the first time
-// its inflightTo entry changes in the current epoch, so the next reset
-// zeroes it. Runs single-threaded or on the worker owning to's shard.
-func (e *Engine) touchInflight(to int32) {
-	s := e.state
-	if s.inflightStamp[to] != s.inflightEpoch {
-		s.inflightStamp[to] = s.inflightEpoch
-		p := &e.parts[s.nodeShard[to]]
-		p.inflightTouched = append(p.inflightTouched, to)
-	}
-}
-
-// resetInflightTo zeroes every inflightTo entry touched since the previous
-// reset (each shard records its own touched nodes) and opens a new epoch.
-// Single-threaded: called only from reduce.
-func (e *Engine) resetInflightTo() {
-	s := e.state
-	for k := range e.parts {
-		p := &e.parts[k]
-		for _, v := range p.inflightTouched {
-			s.inflightTo[v] = 0
-		}
-		p.inflightTouched = p.inflightTouched[:0]
-	}
-	if s.inflightEpoch == int32(^uint32(0)>>1) { // wrap: restamp from scratch
-		clear(s.inflightStamp)
-		s.inflightEpoch = 0
-	}
-	s.inflightEpoch++
 }

@@ -8,17 +8,12 @@
 // The encoding is canonical — a pure function of semantic state, independent
 // of execution history details that do not affect future behaviour — so equal
 // snapshots mean equal states and the byte slice doubles as a state hash
-// (the harness's snapshot twin compares snapshots directly). Two
-// canonicalizations make that true:
-//
-//   - The in-flight aggregate serializes as the ascending list of non-zero
-//     inflightTo entries; the epoch counter, stamps and per-shard touched
-//     lists are rebuilt fresh on restore. Dropping touched-but-exactly-zero
-//     entries is a no-op (zeroing +0.0 is the identity, and an exact-zero
-//     IEEE sum is always +0.0, never -0.0), and touched-list order only ever
-//     drives zeroing, so it is behaviourally irrelevant.
-//   - The active set serializes only the pending bits; the per-shard summary
-//     mask is derived on restore (between ticks the two are redundant).
+// (the harness's snapshot twin compares snapshots directly). The active set
+// serializes only the pending bits; the per-shard summary mask is derived on
+// restore (between ticks the two are redundant). The in-flight section holds
+// only derived data: the canonical InFlightLoad sum and an always-empty
+// per-node list. Restore checks its structure and ignores its values, so no
+// in-flight state is ever taken from outside the program.
 //
 // Everything else is exact: the arena's slot lanes and free-list order (the
 // free-list determines every future handle assignment), cached queue totals
@@ -302,23 +297,10 @@ func (e *Engine) Snapshot() ([]byte, error) {
 		}
 	}
 
-	// In-flight aggregates: the scalar plus the ascending non-zero entries of
-	// the per-node vector. Epoch, stamps and touched lists are rebuilt fresh
-	// on restore (see the package comment on canonicalization).
-	w.f64(s.inflightLoad)
-	nz := 0
-	for _, x := range s.inflightTo {
-		if x != 0 {
-			nz++
-		}
-	}
-	w.u64(uint64(nz))
-	for v, x := range s.inflightTo {
-		if x != 0 {
-			w.u32(uint32(v))
-			w.f64(x)
-		}
-	}
+	// In-flight section, derived from the transfers above: the canonical
+	// load sum and an empty per-node list (format 2 keeps the list's slot).
+	w.f64(s.InFlightLoad())
+	w.u64(0)
 
 	// Inertia records delivered last tick (settle-pass input). Entries may
 	// reference already-released slots; the settle pass revalidates by id, so
@@ -610,15 +592,15 @@ func (e *Engine) restoreBody(r *snapReader) error {
 		return fmt.Errorf("sim: snapshot: %d live slots but %d owned by queues/transfers", st.Live(), ownedCnt)
 	}
 
-	// In-flight aggregates: stamps open in the fresh epoch (1, from New) and
-	// each restored entry lands on its owning shard's touched list, exactly
-	// as if the engine had accumulated it.
-	s.inflightLoad = r.f64()
+	// In-flight section: derived from the transfers, so its values are
+	// skipped. Older builds wrote non-empty per-node lists; their structure
+	// is still checked.
+	r.f64()
 	nz := r.count(12)
 	prev := -1
 	for i := 0; i < nz; i++ {
 		v := int(r.u32())
-		x := r.f64()
+		r.f64()
 		if r.err != nil {
 			return r.err
 		}
@@ -627,8 +609,6 @@ func (e *Engine) restoreBody(r *snapReader) error {
 			return r.err
 		}
 		prev = v
-		s.inflightTo[v] = x
-		e.touchInflight(int32(v))
 	}
 
 	// Inertia records.

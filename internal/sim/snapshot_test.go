@@ -244,11 +244,52 @@ func TestSnapshotFreeListOrderPreserved(t *testing.T) {
 	}
 }
 
-// TestSnapshotInflightAggregatesCanonical is the regression pin for the
-// epoch-stamped in-flight aggregates: a snapshot taken while transfers are in
-// flight must restore the per-node aggregate, and the first quiescent tick
-// after the restore must reset it exactly like the uninterrupted run
-// (touched-entry bookkeeping rebuilt correctly).
+// visitInFlightSum sums the load of every transfer in VisitTransfers order.
+func visitInFlightSum(s *State) float64 {
+	sum := 0.0
+	s.VisitTransfers(func(h taskmodel.Handle, _, _ int) { sum += s.TaskStore().Load(h) })
+	return sum
+}
+
+// withLegacyInflightList rewrites snap's in-flight section the way builds
+// that kept per-node in-flight aggregates wrote it: the load sum, then the
+// ascending non-zero per-destination loads. The section sits just before
+// the inertia records and the active-set words, which e reports.
+func withLegacyInflightList(t *testing.T, e *Engine, snap []byte) []byte {
+	t.Helper()
+	s := e.State()
+	tail := 8 + 16*len(s.movingResident)
+	if s.active != nil {
+		tail += 8 + 8*len(s.active.pending)
+	}
+	off := len(snap) - tail - 16
+	if math.Float64frombits(binary.LittleEndian.Uint64(snap[off:])) != s.InFlightLoad() ||
+		binary.LittleEndian.Uint64(snap[off+8:]) != 0 {
+		t.Fatal("in-flight section not where expected")
+	}
+	to := make([]float64, s.Graph().N())
+	s.VisitTransfers(func(h taskmodel.Handle, _, dst int) { to[dst] += s.TaskStore().Load(h) })
+	var list []byte
+	nz := 0
+	for v, x := range to {
+		if x != 0 {
+			nz++
+			list = binary.LittleEndian.AppendUint32(list, uint32(v))
+			list = binary.LittleEndian.AppendUint64(list, math.Float64bits(x))
+		}
+	}
+	out := append([]byte(nil), snap[:off+8]...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(nz))
+	out = append(out, list...)
+	return append(out, snap[off+16:]...)
+}
+
+// TestSnapshotInflightAggregatesCanonical pins in-flight load as a derived
+// read on a latency-2, faulty-link scenario: InFlightLoad equals the
+// VisitTransfers sum bit for bit every tick, a snapshot taken with transfers
+// in flight restores, re-encodes byte-equal and steps identically to the
+// primary, and a snapshot whose per-node in-flight list is filled as older
+// builds wrote it restores to the same state.
 func TestSnapshotInflightAggregatesCanonical(t *testing.T) {
 	cfg := snapConfig(55)
 	primary, err := New(cfg)
@@ -256,37 +297,50 @@ func TestSnapshotInflightAggregatesCanonical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer primary.Close()
-	snapAt := -1
-	for tick := 0; tick < 200; tick++ {
-		primary.Step()
-		if primary.State().InFlight() > 0 {
-			snapAt = tick + 1
-			break
+	check := func(label string, e *Engine) {
+		t.Helper()
+		s := e.State()
+		if got, want := s.InFlightLoad(), visitInFlightSum(s); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: InFlightLoad = %v, transfer sum %v", label, got, want)
 		}
 	}
-	if snapAt < 0 {
-		t.Fatal("scenario never put a transfer in flight")
+	for tick := 0; tick < 200 && primary.State().InFlight() < 3; tick++ {
+		primary.Step()
+		check(fmt.Sprintf("tick %d", tick+1), primary)
+	}
+	if primary.State().InFlight() < 3 {
+		t.Fatal("scenario never put three transfers in flight")
 	}
 	snap := mustSnap(t, primary)
-	resumed, err := Restore(snap, cfg)
-	if err != nil {
-		t.Fatal(err)
+	legacy := withLegacyInflightList(t, primary, snap)
+	if bytes.Equal(legacy, snap) {
+		t.Fatal("legacy list is empty")
 	}
-	defer resumed.Close()
-	if got, want := resumed.State().InFlightLoad(), primary.State().InFlightLoad(); got != want {
-		t.Fatalf("in-flight load %v after restore, want %v", got, want)
-	}
-	for v := 0; v < cfg.Graph.N(); v++ {
-		if got, want := resumed.State().View().InFlightTo(v), primary.State().View().InFlightTo(v); got != want {
-			t.Fatalf("InFlightTo(%d) = %v after restore, want %v", v, got, want)
+	restore := func(data []byte, workers int) *Engine {
+		t.Helper()
+		c := cfg
+		c.Workers = workers
+		e, err := Restore(data, c)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if again := mustSnap(t, e); !bytes.Equal(again, snap) {
+			t.Fatal("restored engine re-encodes to different bytes")
+		}
+		return e
 	}
-	// Drive both until the network quiesces at least once (triggering the
-	// aggregate reset) and beyond, comparing canonical state throughout.
+	resumed := restore(snap, 3)
+	defer resumed.Close()
+	fromLegacy := restore(legacy, 1)
+	defer fromLegacy.Close()
 	for tick := 0; tick < 120; tick++ {
 		primary.Step()
 		resumed.Step()
-		requireSameState(t, fmt.Sprintf("%d ticks after restore", tick+1), primary, resumed)
+		fromLegacy.Step()
+		label := fmt.Sprintf("%d ticks after restore", tick+1)
+		check(label, primary)
+		requireSameState(t, label, primary, resumed)
+		requireSameState(t, label+" (legacy list)", primary, fromLegacy)
 	}
 }
 

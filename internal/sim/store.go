@@ -116,16 +116,15 @@ type movingRec struct {
 
 // shardPartData is the per-shard per-tick scratch of the pipeline: outboxes
 // of transfers to hand to other shards, and partial reductions (counters,
-// in-flight load delta, inertia arrivals, service completions) that the
+// inertia arrivals, service completions) that the
 // engine folds into the global state in ascending shard order, so float sums
 // are bit-stable no matter which worker ran which shard.
 type shardPartData struct {
-	out       [numShards][]transferRec
-	outMask   uint32 // bit j set when out[j] is non-empty (numShards <= 32)
-	counters  Counters
-	inflightD float64
-	moving    []movingRec        // delivered with inertia this tick
-	done      []taskmodel.Handle // completed by service this tick
+	out      [numShards][]transferRec
+	outMask  uint32 // bit j set when out[j] is non-empty (numShards <= 32)
+	counters Counters
+	moving   []movingRec        // delivered with inertia this tick
+	done     []taskmodel.Handle // completed by service this tick
 
 	// The surviving claims of this tick's owned nodes in planning order
 	// (ascending node, then task id; Move.From names the node), with the
@@ -133,12 +132,6 @@ type shardPartData struct {
 	// in commitMovesShard.
 	moves []Move
 	eids  []int32
-
-	// inflightTouched lists this shard's nodes with a non-zero inflightTo
-	// entry since the last aggregate reset (deduplicated by epoch stamp).
-	// Unlike the fields above it survives across ticks: reduce drains it
-	// only when it resets the in-flight aggregates.
-	inflightTouched []int32
 
 	// dirty marks a partial some phase wrote this tick; reduce skips clean
 	// ones. Skipping is float-exact — folding an untouched partial would

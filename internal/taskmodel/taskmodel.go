@@ -711,8 +711,9 @@ func (s *Store) ConsumeServiceInto(v int, amount float64, now int64, done []Hand
 // form one list (each prev mirroring the next that reached it, ending at the
 // tail, as long as the count), every resident is alive, round-trips through
 // the id index and has v in its node lane, loads are positive, and the cached
-// total matches a fresh scan. The walk stops after Cap steps, so a cyclic
-// list is reported, never followed forever. Harness/test use.
+// total is a number, not below -1e-9, and matches a fresh scan. The walk
+// stops after Cap steps, so a cyclic list is reported, never followed
+// forever. Harness/test use.
 func (s *Store) CheckQueue(v int) error {
 	q := &s.queues[v]
 	sum, count, prev := 0.0, 0, NoHandle
@@ -741,6 +742,9 @@ func (s *Store) CheckQueue(v int) error {
 	}
 	if count != int(q.n) || count > 0 && q.tail != prev {
 		return fmt.Errorf("count %d, tail %d, but %d linked residents ending at %d", q.n, q.tail, count, prev)
+	}
+	if !(q.total >= -1e-9) { // NaN or negative
+		return fmt.Errorf("cached total %g", q.total)
 	}
 	if d := sum - q.total; d > 1e-6+1e-9*sum || d < -(1e-6+1e-9*sum) {
 		return fmt.Errorf("cached total %g but scan %g", q.total, sum)

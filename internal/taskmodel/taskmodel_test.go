@@ -616,6 +616,8 @@ func TestCheckQueueDetectsCorruptLinks(t *testing.T) {
 		}},
 		{"node lane elsewhere", func(st *Store, hs []Handle) { st.node[hs[1]] = 1 }},
 		{"total drift", func(st *Store, hs []Handle) { st.queues[0].total += 1 }},
+		{"NaN total", func(st *Store, hs []Handle) { st.queues[0].total = math.NaN() }},
+		{"negative total", func(st *Store, hs []Handle) { st.queues[0].total = -1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := NewStore()
