@@ -99,7 +99,7 @@ func steadyStateScenario(name string, warm int, fullSweep bool) TickBenchScenari
 // (wired in with three links) and link fail/repair on a fixed edge — before
 // stepping. The measured number is therefore the amortised cost of a tick
 // in a churning system: mostly ordinary ticks, plus the periodic
-// Reconfigure (drain, recall, regrow, reindex) folded in. Compare against
+// Reconfigure (drain, recall, regrow, rebuild) folded in. Compare against
 // TickPPLBTorus16384 to read the churn overhead.
 func churnScenario(name string, workers int) TickBenchScenario {
 	const churnPeriod = 50

@@ -76,17 +76,12 @@ func (b nodeBits) set(v int) {
 	}
 }
 
-// clearBit clears bit v.
-func (b nodeBits) clearBit(v int) {
-	atomic.AndUint64(&b[v>>6], ^(uint64(1) << (uint(v) & 63)))
-}
-
 // rangeWord returns word w with the bits outside the node range [lo, hi)
 // masked off: shard ranges are not 64-aligned, so a boundary word is shared
-// with the neighbouring shard. The load is atomic because that shard's
-// worker may clear its own bits in the shared word concurrently.
+// with the neighbouring shard. A plain load: callers read a buffer no worker
+// mutates meanwhile (the frozen plan set, or pending between ticks).
 func (b nodeBits) rangeWord(w, lo, hi int) uint64 {
-	word := atomic.LoadUint64(&b[w])
+	word := b[w]
 	base := w << 6
 	if base < lo {
 		word &= ^uint64(0) << uint(lo-base)

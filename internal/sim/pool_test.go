@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"runtime"
-	"sync"
 	"testing"
 
 	"pplb/internal/linkmodel"
@@ -144,6 +142,38 @@ func TestTickWorkEstimateComponents(t *testing.T) {
 		t.Fatalf("full-sweep estimate = %d, want N(40); ServiceRate=0 must not count tasks", got)
 	}
 
+	// With service on, latency-2 links and transfers in flight, the service
+	// term counts resident tasks only: a task on a link is counted once, as
+	// a transfer, not again as a live task.
+	g2 := topology.NewTorus(5, 8)
+	sv, err := New(Config{
+		Graph:       g2,
+		Links:       linkmodel.New(g2, linkmodel.WithUniformLength(2)),
+		Policy:      localGreedy{},
+		Seed:        1,
+		Initial:     hotspotInitial(40, 16),
+		ServiceRate: 0.25,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sawFlight := false
+	for tick := 0; tick < 30; tick++ {
+		sv.Step()
+		s := sv.State()
+		resident := 0
+		for v := range s.Graph().N() {
+			resident += s.Queue(v).Len()
+		}
+		if got := sv.tickWorkEstimate(3) - 3 - s.ActiveNodes() - s.InFlight(); got != resident {
+			t.Fatalf("tick %d: service term = %d, want %d resident tasks (%d in flight)", tick, got, resident, s.InFlight())
+		}
+		sawFlight = sawFlight || s.InFlight() > 0
+	}
+	if !sawFlight {
+		t.Fatal("no transfer was ever in flight")
+	}
+
 	// After fused ticks, in which several workers mark concurrently, the
 	// pending term is exact: it equals the number of nodes the next tick
 	// will plan.
@@ -199,47 +229,4 @@ func BenchmarkFusedDispatchOverhead(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkShardCounterFalseSharing pins the cache-line padding of
-// shardCount: GOMAXPROCS goroutines each hammer their own per-shard counter,
-// exactly the access pattern of noteTaskAdded/noteTaskRemoved during a
-// parallel service phase. On a multi-core host the unpadded layout (eight
-// int64 counters per line) costs several times the padded one in coherence
-// traffic; this benchmark is how that was measured (a perf c2c run shows the
-// same line bouncing between cores) and how a padding regression would show
-// up in CI.
-func BenchmarkShardCounterFalseSharing(b *testing.B) {
-	const perG = 1024
-	workers := runtime.GOMAXPROCS(0)
-	if workers > numShards {
-		workers = numShards
-	}
-	bench := func(b *testing.B, bump func(shard int)) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(shard int) {
-					defer wg.Done()
-					for k := 0; k < perG; k++ {
-						bump(shard)
-					}
-				}(w)
-			}
-			wg.Wait()
-		}
-	}
-	b.Run("Padded", func(b *testing.B) {
-		var counts [numShards]shardCount
-		bench(b, func(shard int) { counts[shard].n++ })
-		runtime.KeepAlive(&counts)
-	})
-	b.Run("Unpadded", func(b *testing.B) {
-		var counts [numShards]int64
-		bench(b, func(shard int) { counts[shard]++ })
-		runtime.KeepAlive(&counts)
-	})
 }

@@ -189,10 +189,10 @@ func (e *Engine) Reconfigure(rc Reconfig) error {
 	}
 
 	// 2. Swap in the new topology and lay the engine out over it: existing
-	// queues carry over untouched in the store, the link and occupancy state
-	// is reset for exact rebuild below, and the active set restarts with
-	// every node activated — the one canonical state both the incremental
-	// and full-sweep engines agree on across a rebuild.
+	// queues carry over untouched in the store, the link state is reset for
+	// exact rebuild below, and the active set restarts with every node
+	// activated — the one canonical state both the incremental and
+	// full-sweep engines agree on across a rebuild.
 	s.g = rc.Graph
 	s.links = rc.Links
 	s.speeds = speeds
@@ -235,10 +235,9 @@ func (e *Engine) Reconfigure(rc Reconfig) error {
 		st.RestoreTotal(v, 0) // exactly empty, whatever the removals' float residue
 	}
 
-	// 4. Rebuild the derived indexes exactly: occupancy, per-shard task
-	// counts, the transfer shards (push order = canonical pre-reconfig
-	// order) and link-busy flags.
-	s.reindex()
+	// 4. Rebuild the transfer shards (push order = canonical pre-reconfig
+	// order) and link-busy flags. The refilled queues need nothing more: the
+	// service walk reads their headers directly.
 	for _, r := range kept {
 		s.shards[s.nodeShard[r.to]].push(r)
 		s.linkBusy[r.edge] = true

@@ -159,7 +159,9 @@ type State struct {
 	// tasks is the arena every task in the system lives in: it owns the
 	// per-node queues, and the transfer shards hold handles into it, so the
 	// steady-state tick touches flat lanes only and the GC scan set does not
-	// grow with live tasks.
+	// grow with live tasks. Its queue headers are the engine's only record
+	// of which nodes hold tasks; service and the work estimate read them
+	// (or the live count) directly.
 	tasks *taskmodel.Store
 
 	linkBusy []bool
@@ -191,34 +193,7 @@ type State struct {
 	// when the engine runs full sweeps (global policy or Config.FullSweep).
 	active *activeSet
 
-	// occupied and shardTasks index which nodes hold resident tasks: the
-	// occupancy bitset drives the service phase's node walk and shardTasks
-	// gates whole shards. Maintained unconditionally — the skip is
-	// float-exact (an empty queue consumes exactly nothing), so both the
-	// incremental and the full-sweep engine share it bit-for-bit. The
-	// counts are cache-line padded: each is plain-written by the worker
-	// running its shard, concurrently across shards.
-	occupied   nodeBits
-	shardTasks [numShards]shardCount
-
 	view View // cached read-only face, so View() does not allocate
-}
-
-// noteTaskAdded maintains the occupancy index after a queue insertion at
-// node v. The shard count is a plain write: every call site runs either
-// sequentially or on the fan-out worker that owns v's shard.
-func (s *State) noteTaskAdded(v int) {
-	s.shardTasks[s.nodeShard[v]].n++
-	s.occupied.set(v)
-}
-
-// noteTaskRemoved maintains the occupancy index after one task left node v's
-// queue.
-func (s *State) noteTaskRemoved(v int) {
-	s.shardTasks[s.nodeShard[v]].n--
-	if s.Queue(v).Len() == 0 {
-		s.occupied.clearBit(v)
-	}
 }
 
 // nodeAlive reports whether node v has not left the topology. The nil check
@@ -320,7 +295,7 @@ func (v *View) DepWeightToNode(id taskmodel.ID, n int) float64 {
 	return v.s.tgraph.WeightToQueue(id, v.s.tasks, n)
 }
 
-// LinkBusy reports whether the {u,v} link is occupied by a transfer.
+// LinkBusy reports whether a transfer holds the {u,v} link.
 func (v *View) LinkBusy(u, w int) bool {
 	id, ok := v.s.g.EdgeID(u, w)
 	if !ok {
@@ -330,7 +305,7 @@ func (v *View) LinkBusy(u, w int) bool {
 }
 
 // LinkBusyEdge reports whether the link with the given canonical edge id is
-// occupied (see topology.Graph.IncidentEdgeIDs); no map lookup.
+// held by a transfer (see topology.Graph.IncidentEdgeIDs); no map lookup.
 func (v *View) LinkBusyEdge(id int) bool { return v.s.linkBusy[id] }
 
 // Loads materialises all node loads.
@@ -557,19 +532,18 @@ type Engine struct {
 
 	movingNext []movingRec // scratch for rebuilding movingResident
 
-	// fanShards is the scratch list of shard ids behind the subset fan-outs
-	// (active planning shards, occupied service shards). Phases run
-	// sequentially, so one list is shared.
+	// fanShards is the scratch list of shard ids behind the planning
+	// fan-out's subset of active shards.
 	fanShards []int
 
 	// Cached phase runners. These closures reference the engine (a plain
 	// internal cycle, which the tracing collector handles fine — the old
 	// SetFinalizer-era rule against self-references died with the migration
-	// to runtime.AddCleanup). The Sub variants run the i-th entry of
-	// fanShards instead of shard i, for the subset fan-outs.
+	// to runtime.AddCleanup). runPlanFilterSub runs the i-th entry of
+	// fanShards instead of shard i, for the active-set planning fan-out.
 	runPlanFilter, runApply, runCommitMoves,
-	runAdvance, runCommitBounces,
-	runPlanFilterSub, runServiceSub func(int, *rng.RNG)
+	runAdvance, runCommitBounces, runService,
+	runPlanFilterSub func(int, *rng.RNG)
 }
 
 // Close releases the engine's worker goroutines. It is safe to call more
@@ -645,8 +619,8 @@ func New(cfg Config) (*Engine, error) {
 	e.runCommitMoves = e.commitMovesShard
 	e.runAdvance = e.advanceShard
 	e.runCommitBounces = e.commitBouncesShard
+	e.runService = e.serviceShard
 	e.runPlanFilterSub = func(i int, r *rng.RNG) { e.planFilterShard(e.fanShards[i], r) }
-	e.runServiceSub = func(i int, r *rng.RNG) { e.serviceShard(e.fanShards[i], r) }
 	e.cutover = cfg.SerialCutover
 	switch {
 	case e.cutover == 0:
@@ -675,10 +649,10 @@ func New(cfg Config) (*Engine, error) {
 // state derived from the topology. Per-node slices grow to exactly N by
 // make+copy — append growth would over-allocate by up to a quarter at 1M
 // nodes — and the store's queue headers carry over. The shard partition is
-// recomputed; link-busy and link-claim flags and the occupancy index start
-// empty; and the active set, when the policy plans incrementally, starts with
-// every node activated. New, Reconfigure and Restore all lay the engine out
-// here.
+// recomputed; link-busy and link-claim flags start empty; and the active set,
+// when the policy plans incrementally, starts with every node activated.
+// Residency needs no rebuild: the queue headers are the only record of it.
+// New, Reconfigure and Restore all lay the engine out here.
 func (e *Engine) layout() {
 	s := e.state
 	n := s.g.N()
@@ -696,26 +670,10 @@ func (e *Engine) layout() {
 	}
 	s.linkBusy = make([]bool, s.g.NumEdges())
 	e.loClaim = make([]bool, s.g.NumEdges())
-	s.occupied = newNodeBits(n)
-	for k := range s.shardTasks {
-		s.shardTasks[k].n = 0
-	}
 	s.active = nil
 	if usesActiveSet(e.cfg.Policy, e.cfg.FullSweep) {
 		s.active = newActiveSet(n, &s.shardLo)
 		s.active.activateAll()
-	}
-}
-
-// reindex fills the occupancy index that layout left empty from the queues,
-// for callers that refill queues without noteTaskAdded: the Reconfigure
-// drains and the snapshot decode.
-func (s *State) reindex() {
-	for v := range s.g.N() {
-		if l := s.Queue(v).Len(); l > 0 {
-			s.shardTasks[s.nodeShard[v]].n += int64(l)
-			s.occupied.set(v)
-		}
 	}
 }
 
@@ -743,7 +701,6 @@ func (e *Engine) inject(node int, load float64) {
 	s.nextTaskID++
 	s.counters.Injected += load
 	s.tasks.Enqueue(node, h)
-	s.noteTaskAdded(node)
 	e.markDirtyNeighborhood(node)
 }
 
@@ -772,24 +729,25 @@ func (e *Engine) RunUntil(pred func(*State) bool, maxTicks int) (int, bool) {
 // tickWorkEstimate approximates this tick's work in fan-out work units:
 // nodes to re-plan (the exact popcount of the active set's pending bits, or
 // all N on a full-sweep engine), transfers to advance, arrivals to inject,
-// and — when service runs — resident tasks as a proxy for the occupancy
-// walk. The pending popcount reads N/64 words; every other input is
-// O(numShards) or O(1). Step asks only on a parallel engine, between ticks,
-// so the marking path keeps no counter for it. The estimate only ever picks
-// an execution path (inline vs fused), both bit-identical, so its proxies
-// can cost performance at the cutover boundary, never correctness.
+// and — when service runs — resident tasks as a proxy for the service walk.
+// Between ticks every live task is either resident or in flight, so the
+// resident count is the store's live count minus the transfers. The pending
+// popcount reads N/64 words; every other input is O(numShards) or O(1). Step
+// asks only on a parallel engine, between ticks, so the marking path keeps
+// no counter for it. The estimate only ever picks an execution path (inline
+// vs fused), both bit-identical, so its proxies can cost performance at the
+// cutover boundary, never correctness.
 func (e *Engine) tickWorkEstimate(arrivals int) int {
 	s := e.state
-	w := arrivals + s.InFlight()
+	inflight := s.InFlight()
+	w := arrivals + inflight
 	if a := s.active; a != nil {
 		w += a.pendingCount()
 	} else {
 		w += s.g.N()
 	}
 	if e.cfg.ServiceRate > 0 {
-		for k := range s.shardTasks {
-			w += int(s.shardTasks[k].n)
-		}
+		w += s.tasks.Live() - inflight
 	}
 	return w
 }
@@ -907,21 +865,12 @@ func (e *Engine) Step() {
 		}
 	}
 
-	// 5. Service (scaled by node speed on heterogeneous systems). Only
-	// shards with resident tasks are visited, and within a shard only
-	// occupied nodes — exact in both engines, since an empty queue consumes
-	// exactly nothing.
-	if e.cfg.ServiceRate > 0 {
-		shards := e.fanShards[:0]
-		for k := 0; k < numShards; k++ {
-			if s.shardTasks[k].n > 0 {
-				shards = append(shards, k)
-			}
-		}
-		e.fanShards = shards
-		if len(shards) > 0 {
-			e.fanOut(len(shards), e.runServiceSub)
-		}
+	// 5. Service (scaled by node speed on heterogeneous systems). Each shard
+	// walks its node range ascending and skips empty queues — exact in both
+	// engines, since an empty queue consumes exactly nothing. A system with
+	// no resident task (every live task in flight) skips the phase.
+	if e.cfg.ServiceRate > 0 && s.tasks.Live() > s.InFlight() {
+		e.fanOut(numShards, e.runService)
 	}
 
 	// Fold the per-shard partials into the global state in ascending shard
@@ -1093,7 +1042,6 @@ func (e *Engine) applyShard(k int, _ *rng.RNG) {
 			p.counters.Rejected++ // unreachable: residency checked in filter
 			continue
 		}
-		s.noteTaskRemoved(v)
 		// v's load dropped and link {v, m.To} went busy; both endpoints
 		// and every height-watching neighbour must re-plan. m.To is a
 		// neighbour of v, so one neighbourhood mark covers the link too.
@@ -1211,7 +1159,6 @@ func (e *Engine) advanceShard(k int, r *rng.RNG) {
 		s.linkBusy[eid] = false
 		to := int(sh.to[i])
 		st.Enqueue(to, h)
-		s.noteTaskAdded(to)
 		// to's load rose and the link freed; the sender is a neighbour of
 		// to, so the neighbourhood mark re-activates it as well. A bounce
 		// *start* needs no mark: the link stays busy and no height changes.
@@ -1233,32 +1180,21 @@ func (e *Engine) advanceShard(k int, r *rng.RNG) {
 	sh.truncate(w)
 }
 
-// serviceShard consumes service capacity on shard k's occupied nodes,
-// collecting completed tasks and the consumed load as shard partials. The
-// occupancy walk visits set bits of the occupied index in ascending node
-// order.
+// serviceShard consumes service capacity on shard k's non-empty queues in
+// ascending node order, collecting completed tasks and the consumed load as
+// shard partials.
 func (e *Engine) serviceShard(k int, _ *rng.RNG) {
 	s := e.state
 	p := &e.parts[k]
-	lo, hi := s.shardLo[k], s.shardLo[k+1]
-	for w := lo >> 6; w <= (hi-1)>>6; w++ {
-		word := s.occupied.rangeWord(w, lo, hi)
-		for word != 0 {
-			v := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			before := len(p.done)
-			done, consumed := s.tasks.ConsumeServiceInto(v, e.cfg.ServiceRate*s.Speed(v), s.tick, p.done)
-			p.done = done
-			p.counters.Consumed += consumed
-			if consumed > 0 {
-				e.markDirtyNeighborhood(v)
-			}
-			if completed := len(p.done) - before; completed > 0 {
-				s.shardTasks[k].n -= int64(completed)
-				if s.Queue(v).Len() == 0 {
-					s.occupied.clearBit(v)
-				}
-			}
+	for v := s.shardLo[k]; v < s.shardLo[k+1]; v++ {
+		if s.Queue(v).Len() == 0 {
+			continue
+		}
+		done, consumed := s.tasks.ConsumeServiceInto(v, e.cfg.ServiceRate*s.Speed(v), s.tick, p.done)
+		p.done = done
+		p.counters.Consumed += consumed
+		if consumed > 0 {
+			e.markDirtyNeighborhood(v)
 		}
 	}
 	if p.counters.Consumed != 0 || len(p.done) > 0 {

@@ -13,7 +13,10 @@
 // restore (between ticks the two are redundant). The in-flight section holds
 // only derived data: the canonical InFlightLoad sum and an always-empty
 // per-node list. Restore checks its structure and ignores its values, so no
-// in-flight state is ever taken from outside the program.
+// in-flight state is ever taken from outside the program. The link-busy
+// flags are rebuilt from the transfers the same way: a link is busy exactly
+// while one transfer holds it, each transfer must name the edge between its
+// endpoints, and the encoded flags must match.
 //
 // Everything else is exact: the arena's slot lanes and free-list order (the
 // free-list determines every future handle assignment), cached queue totals
@@ -451,8 +454,11 @@ func (e *Engine) restoreBody(r *snapReader) error {
 	e.planBase.SetState(r.rng())
 	e.faultBase.SetState(r.rng())
 	e.arrivalRNG.SetState(r.rng())
-	for i := range s.linkBusy {
-		s.linkBusy[i] = r.bool()
+	// The busy flags are derived from the transfers below; the encoded ones
+	// are only checked against them.
+	busy := make([]bool, len(s.linkBusy))
+	for i := range busy {
+		busy[i] = r.bool()
 	}
 	if r.err != nil {
 		return r.err
@@ -521,9 +527,10 @@ func (e *Engine) restoreBody(r *snapReader) error {
 	}
 
 	// Queues: rebuild residency front to back (claiming node and link
-	// lanes), restore the exact total, then the occupancy index the engine
-	// normally maintains via noteTaskAdded. The claim comes first: a handle
-	// linked into two places would corrupt the lists, so it never is.
+	// lanes), then restore the exact total. The queue headers are the
+	// engine's only record of residency, so nothing else is rebuilt. The
+	// claim comes first: a handle linked into two places would corrupt the
+	// lists, so it never is.
 	for v := range n {
 		cnt := r.count(4)
 		if r.err == nil && cnt > 0 && !s.nodeAlive(v) {
@@ -547,7 +554,6 @@ func (e *Engine) restoreBody(r *snapReader) error {
 		}
 		st.RestoreTotal(v, total)
 	}
-	s.reindex()
 
 	// Transfer shards.
 	for k := range s.shards {
@@ -576,20 +582,30 @@ func (e *Engine) restoreBody(r *snapReader) error {
 				r.fail("shard %d transfer %d from invalid node %d", k, i, rec.from)
 			case !s.nodeAlive(int(rec.from)) || !s.nodeAlive(int(rec.to)):
 				r.fail("shard %d transfer %d touches a dead node (%d -> %d)", k, i, rec.from, rec.to)
-			case int(rec.edge) < 0 || int(rec.edge) >= len(s.linkBusy):
-				r.fail("shard %d transfer %d on invalid edge %d", k, i, rec.edge)
 			case rec.remaining < 1:
 				r.fail("shard %d transfer %d with remaining latency %d", k, i, rec.remaining)
+			default:
+				if eid, ok := s.g.EdgeID(int(rec.from), int(rec.to)); !ok || eid != int(rec.edge) {
+					r.fail("shard %d transfer %d names edge %d, which is not the %d -> %d link", k, i, rec.edge, rec.from, rec.to)
+				} else if s.linkBusy[eid] {
+					r.fail("shard %d transfer %d on link %d, which another transfer holds", k, i, eid)
+				}
 			}
 			claim(rec.task, "shard", k, i)
 			if r.err != nil {
 				return r.err
 			}
 			sh.push(rec)
+			s.linkBusy[rec.edge] = true
 		}
 	}
 	if ownedCnt != st.Live() {
 		return fmt.Errorf("sim: snapshot: %d live slots but %d owned by queues/transfers", st.Live(), ownedCnt)
+	}
+	for id, b := range busy {
+		if b != s.linkBusy[id] {
+			return fmt.Errorf("sim: snapshot: link %d busy flag is %t, transfers say %t", id, b, s.linkBusy[id])
+		}
 	}
 
 	// In-flight section: derived from the transfers, so its values are

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"pplb/internal/linkmodel"
@@ -34,26 +37,19 @@ func fuzzRestoreConfig() (Config, Reconfig) {
 	return cfg, rc
 }
 
-// FuzzRestore feeds mutated snapshot bytes through Restore: any input must
-// either produce a working engine (stepped once to shake out latent decode
-// corruption) or a descriptive error — never a panic or a hostile-length
-// allocation. The seed corpus holds real snapshots of the matching system
-// (several ticks, so free-list recycling, transfers and inertia records are
-// all populated), one snapshot from a mismatched epoch, and hand-truncated
-// variants; `go test` runs the corpus as part of the merge gate and the
-// nightly job mutates from there.
-func FuzzRestore(f *testing.F) {
+// fuzzRestoreEngine builds a running engine of fuzzRestoreConfig's system:
+// a small workload on the churned graph, with the churn history (epoch and
+// dead nodes) installed by hand so its snapshots decode against that config.
+func fuzzRestoreEngine(tb testing.TB) *Engine {
+	tb.Helper()
 	cfg, rc := fuzzRestoreConfig()
-
-	// Live snapshots at several ticks of the matching system.
 	initial := make([][]float64, cfg.Graph.N())
 	initial[0] = []float64{2, 1, 1}
 	initial[9] = []float64{3, 0.5}
-	bcfg := cfg
-	bcfg.Initial = initial
-	e, err := New(bcfg)
+	cfg.Initial = initial
+	e, err := New(cfg)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	e.state.epoch = rc.Epoch // the snapshot carries the churn history
 	dead := make([]bool, cfg.Graph.N())
@@ -61,6 +57,97 @@ func FuzzRestore(f *testing.F) {
 		dead[v] = true
 	}
 	e.state.deadNode = dead
+	return e
+}
+
+// snapEdit is a hand-edited snapshot and a fragment of the error Restore
+// must return for it.
+type snapEdit struct {
+	name, want string
+	snap       []byte
+}
+
+// linkStateEdits returns a snapshot of fuzzRestoreConfig's system with
+// transfers in flight and two hand edits of it that only the link-state
+// cross-checks catch: a free link's busy byte set, and a transfer moved onto
+// another free edge (busy bytes moved along, so the flags still match the
+// transfers' edge fields).
+func linkStateEdits(tb testing.TB) (snap []byte, edits []snapEdit) {
+	tb.Helper()
+	e := fuzzRestoreEngine(tb)
+	defer e.Close()
+	for e.state.InFlight() == 0 {
+		e.Step()
+	}
+	s := e.state
+	var err error
+	if snap, err = e.Snapshot(); err != nil {
+		tb.Fatal(err)
+	}
+
+	// The busy flags follow the arrival stream's state, the last field of
+	// the scalar block; its 32 bytes occur exactly once.
+	var rngBytes []byte
+	for _, w := range e.arrivalRNG.State() {
+		rngBytes = binary.LittleEndian.AppendUint64(rngBytes, w)
+	}
+	busyAt := bytes.Index(snap, rngBytes) + len(rngBytes)
+	free := -1
+	for id, b := range s.linkBusy {
+		if (snap[busyAt+id] == 1) != b {
+			tb.Fatalf("busy flag of link %d not at offset %d", id, busyAt+id)
+		}
+		if !b && free < 0 {
+			free = id
+		}
+	}
+	if free < 0 {
+		tb.Fatal("every link is busy")
+	}
+
+	// The first transfer's record, found by its leading 20 bytes; its edge
+	// field sits at offset 12.
+	var sh *transferShard
+	for k := range s.shards {
+		if s.shards[k].len() > 0 {
+			sh = &s.shards[k]
+			break
+		}
+	}
+	rec := binary.LittleEndian.AppendUint32(nil, uint32(sh.task[0]))
+	for _, f := range []int32{sh.from[0], sh.to[0], sh.edge[0], sh.remaining[0]} {
+		rec = binary.LittleEndian.AppendUint32(rec, uint32(f))
+	}
+	recAt := bytes.Index(snap, rec)
+	if recAt < 0 || bytes.Index(snap[recAt+1:], rec) >= 0 {
+		tb.Fatal("first transfer record is not found exactly once")
+	}
+
+	busyFree := append([]byte(nil), snap...)
+	busyFree[busyAt+free] = 1
+	wrongEdge := append([]byte(nil), snap...)
+	binary.LittleEndian.PutUint32(wrongEdge[recAt+12:], uint32(free))
+	wrongEdge[busyAt+int(sh.edge[0])] = 0
+	wrongEdge[busyAt+free] = 1
+	return snap, []snapEdit{
+		{"busy flag on a free link", "busy flag", busyFree},
+		{"transfer on another edge", "is not the", wrongEdge},
+	}
+}
+
+// FuzzRestore feeds mutated snapshot bytes through Restore: any input must
+// either produce a working engine (stepped once to shake out latent decode
+// corruption) or a descriptive error — never a panic or a hostile-length
+// allocation. The seed corpus holds real snapshots of the matching system
+// (several ticks, so free-list recycling, transfers and inertia records are
+// all populated), one snapshot from a mismatched epoch, hand-truncated
+// variants and the link-state edits; `go test` runs the corpus as part of
+// the merge gate and the nightly job mutates from there.
+func FuzzRestore(f *testing.F) {
+	cfg, _ := fuzzRestoreConfig()
+
+	// Live snapshots at several ticks of the matching system.
+	e := fuzzRestoreEngine(f)
 	for i := 0; i < 12; i++ {
 		e.Step()
 		if i%4 == 3 {
@@ -79,6 +166,10 @@ func FuzzRestore(f *testing.F) {
 		}
 	}
 	e.Close()
+	_, edits := linkStateEdits(f)
+	for _, ed := range edits {
+		f.Add(ed.snap)
+	}
 
 	// A snapshot of the pre-churn topology: decodes against cfg must fail
 	// the structural fingerprint, not crash.
@@ -111,4 +202,29 @@ func FuzzRestore(f *testing.F) {
 		eng.Step()
 		eng.Close()
 	})
+}
+
+// Restore rebuilds the link-busy flags from the transfers and rejects a
+// snapshot whose encoded flags or transfer edges disagree with them: a busy
+// flag on a free link would otherwise block that link for good, and a
+// transfer naming the wrong edge would free the wrong link on delivery.
+func TestSnapshotRestoreChecksLinkState(t *testing.T) {
+	cfg, _ := fuzzRestoreConfig()
+	snap, edits := linkStateEdits(t)
+	e, err := Restore(snap, cfg)
+	if err != nil {
+		t.Fatalf("unedited snapshot: %v", err)
+	}
+	e.Close()
+	for _, ed := range edits {
+		e, err := Restore(ed.snap, cfg)
+		if err == nil {
+			e.Close()
+			t.Errorf("%s: Restore accepted the snapshot", ed.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), ed.want) {
+			t.Errorf("%s: Restore error %q, want one containing %q", ed.name, err, ed.want)
+		}
+	}
 }

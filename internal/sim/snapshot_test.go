@@ -502,23 +502,23 @@ func TestSnapshotRestoreRejectsDuplicateQueueHandle(t *testing.T) {
 	}
 	offs := queueRecordOffsets(t, e, snap)
 	handleAt := func(v, i int) int { return offs[v] + 8 + 4*i } // byte offset of v's i-th handle
-	var occupied, deep []int                                    // nodes with >= 1 and >= 2 residents
+	var nonEmpty, deep []int                                    // nodes with >= 1 and >= 2 residents
 	for v := range offs {
 		if l := e.state.Queue(v).Len(); l >= 1 {
-			occupied = append(occupied, v)
+			nonEmpty = append(nonEmpty, v)
 			if l >= 2 {
 				deep = append(deep, v)
 			}
 		}
 	}
-	if len(occupied) < 2 || len(deep) < 1 {
-		t.Fatalf("scenario too sparse: %d occupied, %d with two or more tasks", len(occupied), len(deep))
+	if len(nonEmpty) < 2 || len(deep) < 1 {
+		t.Fatalf("scenario too sparse: %d non-empty, %d with two or more tasks", len(nonEmpty), len(deep))
 	}
 	for _, tc := range []struct {
 		name     string
 		from, to int // copy the handle at byte offset from over the one at to
 	}{
-		{"two records", handleAt(occupied[0], 0), handleAt(occupied[1], 0)},
+		{"two records", handleAt(nonEmpty[0], 0), handleAt(nonEmpty[1], 0)},
 		{"one record", handleAt(deep[0], 0), handleAt(deep[0], 1)},
 	} {
 		bad := append([]byte(nil), snap...)

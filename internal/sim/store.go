@@ -29,17 +29,6 @@ type transferRec struct {
 	moving    bool
 }
 
-// shardCount is one per-shard counter on its own cache line. The resident
-// task counts are plain-written by whichever worker owns the shard during a
-// fan-out; without the padding, eight shards' counters share one line and
-// every queue add/remove on one shard invalidates the line under seven
-// neighbours (the classic false-sharing pattern a perf c2c run flags on
-// this array; BenchmarkShardCounterFalseSharing pins the fix).
-type shardCount struct {
-	n int64
-	_ [cacheLine - 8]byte
-}
-
 // transferShardData is the struct-of-arrays store of the transfers in
 // flight towards the nodes one shard owns. The parallel arrays replace the
 // old []*Transfer pointer shells + freelist: advancement walks flat

@@ -30,12 +30,11 @@ func (e *Engine) maybeLeakForTest() {
 	for v := range s.g.N() {
 		if h := s.Queue(v).Front(); h >= 0 {
 			s.tasks.Remove(v, s.tasks.ID(h))
-			// Keep the occupancy index, active set and arena coherent: the
-			// leak must break load conservation and nothing else, in every
-			// engine variant alike, so the invariant under test is the one
-			// that fires (not twin divergence, a stale-plan artefact or a
-			// store-consistency violation).
-			s.noteTaskRemoved(v)
+			// Keep the active set and arena coherent: the leak must break
+			// load conservation and nothing else, in every engine variant
+			// alike, so the invariant under test is the one that fires (not
+			// twin divergence, a stale-plan artefact or a store-consistency
+			// violation).
 			e.markDirtyNeighborhood(v)
 			s.tasks.Release(h)
 			return
