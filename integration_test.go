@@ -20,7 +20,7 @@ type fuzzPolicy struct{}
 
 func (fuzzPolicy) Name() string { return "fuzz" }
 
-func (fuzzPolicy) PlanNodeInto(v int, view *View, r *rng.RNG, moves []Move) []Move {
+func (fuzzPolicy) PlanNodeInto(v int, view *State, r *rng.RNG, moves []Move) []Move {
 	st := view.TaskStore()
 	tasks := view.TaskStore().AppendHandles(nil, v)
 	n := view.N()

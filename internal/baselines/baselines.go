@@ -41,7 +41,7 @@ type None struct{}
 func (None) Name() string { return "none" }
 
 // PlanNodeInto implements sim.Policy: never proposes a move.
-func (None) PlanNodeInto(_ int, _ *sim.View, _ *rng.RNG, moves []sim.Move) []sim.Move { return moves }
+func (None) PlanNodeInto(_ int, _ *sim.State, _ *rng.RNG, moves []sim.Move) []sim.Move { return moves }
 
 // PlanLocality implements sim.LocalityDeclarer: the always-empty plan is
 // trivially a pure function of anything.
@@ -49,7 +49,7 @@ func (None) PlanLocality() sim.Locality { return sim.LocalityNeighborhood }
 
 // pickTaskUpTo returns the largest task resident at v with load <= budget,
 // or NoHandle. Deterministic: ties broken towards the lowest id.
-func pickTaskUpTo(view *sim.View, v int, budget float64) taskmodel.Handle {
+func pickTaskUpTo(view *sim.State, v int, budget float64) taskmodel.Handle {
 	st := view.TaskStore()
 	best := taskmodel.NoHandle
 	for h := view.FirstTask(v); h != taskmodel.NoHandle; h = st.Next(h) {
@@ -84,7 +84,7 @@ func (d Diffusion) Name() string { return "diffusion" }
 func (d Diffusion) PlanLocality() sim.Locality { return sim.LocalityNeighborhood }
 
 // PlanNodeInto implements sim.Policy.
-func (d Diffusion) PlanNodeInto(v int, view *sim.View, _ *rng.RNG, moves []sim.Move) []sim.Move {
+func (d Diffusion) PlanNodeInto(v int, view *sim.State, _ *rng.RNG, moves []sim.Move) []sim.Move {
 	moves = moves[:0]
 	first := view.FirstTask(v)
 	if first == taskmodel.NoHandle {
@@ -181,7 +181,7 @@ func NewDimensionExchange(g *topology.Graph) *DimensionExchange {
 func (d *DimensionExchange) Name() string { return "dimexchange" }
 
 // PrepareTick implements sim.TickPreparer: selects this tick's matching.
-func (d *DimensionExchange) PrepareTick(view *sim.View) {
+func (d *DimensionExchange) PrepareTick(view *sim.State) {
 	for i := range d.partnerOf {
 		d.partnerOf[i] = -1
 	}
@@ -196,7 +196,7 @@ func (d *DimensionExchange) PrepareTick(view *sim.View) {
 }
 
 // PlanNodeInto implements sim.Policy.
-func (d *DimensionExchange) PlanNodeInto(v int, view *sim.View, _ *rng.RNG, moves []sim.Move) []sim.Move {
+func (d *DimensionExchange) PlanNodeInto(v int, view *sim.State, _ *rng.RNG, moves []sim.Move) []sim.Move {
 	moves = moves[:0]
 	j := d.partnerOf[v]
 	if j < 0 || view.LinkBusy(v, j) {
@@ -249,7 +249,7 @@ func (g *GradientModel) factors() (lo, hi float64) {
 
 // PrepareTick implements sim.TickPreparer: recomputes the pressure surface.
 // Runs on reusable scratch buffers, so steady-state ticks do not allocate.
-func (g *GradientModel) PrepareTick(view *sim.View) {
+func (g *GradientModel) PrepareTick(view *sim.State) {
 	n := view.N()
 	if cap(g.pressure) < n {
 		g.pressure = make([]int, n)
@@ -290,7 +290,7 @@ func (g *GradientModel) PrepareTick(view *sim.View) {
 }
 
 // PlanNodeInto implements sim.Policy.
-func (g *GradientModel) PlanNodeInto(v int, view *sim.View, _ *rng.RNG, moves []sim.Move) []sim.Move {
+func (g *GradientModel) PlanNodeInto(v int, view *sim.State, _ *rng.RNG, moves []sim.Move) []sim.Move {
 	moves = moves[:0]
 	_, hi := g.factors()
 	lv := view.Height(v)
@@ -348,7 +348,7 @@ func (c CWN) Name() string { return "cwn" }
 func (c CWN) PlanLocality() sim.Locality { return sim.LocalityNeighborhood }
 
 // PlanNodeInto implements sim.Policy.
-func (c CWN) PlanNodeInto(v int, view *sim.View, _ *rng.RNG, moves []sim.Move) []sim.Move {
+func (c CWN) PlanNodeInto(v int, view *sim.State, _ *rng.RNG, moves []sim.Move) []sim.Move {
 	moves = moves[:0]
 	maxHops := c.MaxHops
 	if maxHops <= 0 {
@@ -409,7 +409,7 @@ type RandomSender struct {
 func (r *RandomSender) Name() string { return "random" }
 
 // PrepareTick implements sim.TickPreparer: caches the mean load.
-func (r *RandomSender) PrepareTick(view *sim.View) {
+func (r *RandomSender) PrepareTick(view *sim.State) {
 	r.heights = view.HeightsInto(r.heights)
 	sum := 0.0
 	for _, l := range r.heights {
@@ -421,7 +421,7 @@ func (r *RandomSender) PrepareTick(view *sim.View) {
 // PlanNodeInto implements sim.Policy. The probe draw happens before the
 // busy/height checks, as it has since the first release — the draw sequence
 // is part of the deterministic trajectory.
-func (r *RandomSender) PlanNodeInto(v int, view *sim.View, rnd *rng.RNG, moves []sim.Move) []sim.Move {
+func (r *RandomSender) PlanNodeInto(v int, view *sim.State, rnd *rng.RNG, moves []sim.Move) []sim.Move {
 	moves = moves[:0]
 	factor := r.ThresholdFactor
 	if factor <= 0 {

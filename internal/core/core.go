@@ -123,15 +123,14 @@ type Balancer struct {
 
 // planScratch carries the reusable buffers of one PlanNodeInto call.
 // Candidate neighbours are tracked by their position k in Neighbors(v), so
-// the projected-height and used-link tables are small dense slices instead
+// the projected-height and closed-link tables are small dense slices instead
 // of maps keyed by node id.
 type planScratch struct {
 	keys   []loadKey // (load, id, handle) sort keys, descending-load order
 	cand   []int     // feasible neighbour positions
 	scores []float64 // score per candidate (parallel to cand)
 	hn     []float64 // projected neighbour heights by position
-	used   []bool    // link already claimed this tick, by position
-	busy   []bool    // link busy at tick start, by position (claim-independent)
+	closed []bool    // link busy at tick start or claimed this tick, by position
 	cost   []float64 // e_ij per position (fault-aware as configured)
 	spd    []float64 // service speed per neighbour position
 }
@@ -203,7 +202,7 @@ func (b *Balancer) PlanLocality() sim.Locality { return sim.LocalityNeighborhood
 func (b *Balancer) Config() Config { return b.cfg }
 
 // linkCost returns e_ij under the configured fault awareness.
-func (b *Balancer) linkCost(view *sim.View, i, j int) float64 {
+func (b *Balancer) linkCost(view *sim.State, i, j int) float64 {
 	if b.cfg.FaultOblivious {
 		return view.Links().CostOblivious(i, j)
 	}
@@ -241,7 +240,7 @@ func (b *Balancer) stationaryScore(hv, hn, srcDrop, load, spdN, cost float64) fl
 // Both friction components are functions of the id alone. With no
 // dependency graph or affinity table attached (or both couplings off) it is
 // exactly 0.0.
-func (b *Balancer) MuS(view *sim.View, id taskmodel.ID, v int) float64 {
+func (b *Balancer) MuS(view *sim.State, id taskmodel.ID, v int) float64 {
 	mu := 0.0
 	if tg := view.TaskGraph(); tg != nil && b.cfg.CsT != 0 {
 		mu += b.cfg.CsT * view.DepWeightToNode(id, v)
@@ -255,7 +254,7 @@ func (b *Balancer) MuS(view *sim.View, id taskmodel.ID, v int) float64 {
 // MuK returns the kinetic friction of task id leaving node v:
 //
 //	µk = Ck0 + CkProp · µs(id, v)
-func (b *Balancer) MuK(view *sim.View, id taskmodel.ID, v int) float64 {
+func (b *Balancer) MuK(view *sim.State, id taskmodel.ID, v int) float64 {
 	return b.cfg.Ck0 + b.cfg.CkProp*b.MuS(view, id, v)
 }
 
@@ -276,7 +275,7 @@ func (b *Balancer) dampFlag(flag, destHeight float64) float64 {
 // appended into a caller buffer, so a steady-state planning call allocates
 // nothing. A node the friction bound proves idle returns in O(degree +
 // tasks) without touching the scratch pool, the sort or the chooser.
-func (b *Balancer) PlanNodeInto(v int, view *sim.View, r *rng.RNG, moves []sim.Move) []sim.Move {
+func (b *Balancer) PlanNodeInto(v int, view *sim.State, r *rng.RNG, moves []sim.Move) []sim.Move {
 	if b.plansNothing(v, view) {
 		return moves
 	}
@@ -302,7 +301,7 @@ func (b *Balancer) PlanNodeInto(v int, view *sim.View, r *rng.RNG, moves []sim.M
 // negative WithCostScale) would reverse it, so such a link turns the bound
 // off. No candidate ever exists, so hv and hn are never updated and the
 // chooser is never reached.
-func (b *Balancer) plansNothing(v int, view *sim.View) bool {
+func (b *Balancer) plansNothing(v int, view *sim.State) bool {
 	if tg := view.TaskGraph(); tg != nil && b.cfg.CsT != 0 {
 		return false
 	}
@@ -349,7 +348,7 @@ func (b *Balancer) plansNothing(v int, view *sim.View) bool {
 // by their position in Neighbors(v) so the inner loops index dense slices
 // (projected heights, claimed links, link costs by canonical edge id)
 // instead of hashing node ids.
-func (b *Balancer) planNode(v int, view *sim.View, r *rng.RNG, moves []sim.Move) []sim.Move {
+func (b *Balancer) planNode(v int, view *sim.State, r *rng.RNG, moves []sim.Move) []sim.Move {
 	first := view.FirstTask(v)
 	if first == taskmodel.NoHandle {
 		return moves
@@ -371,17 +370,14 @@ func (b *Balancer) planNode(v int, view *sim.View, r *rng.RNG, moves []sim.Move)
 	sc.hn = grow(sc.hn, nn)
 	sc.cost = grow(sc.cost, nn)
 	sc.spd = grow(sc.spd, nn)
-	sc.used = growBool(sc.used, nn)
-	sc.busy = growBool(sc.busy, nn)
+	sc.closed = growBool(sc.closed, nn)
 	hn := sc.hn[:nn]
 	cost := sc.cost[:nn]
 	spd := sc.spd[:nn]
-	used := sc.used[:nn]
-	busy := sc.busy[:nn]
+	closed := sc.closed[:nn]
 	for k, j := range neighbors {
 		hn[k] = view.Height(j)
-		used[k] = false
-		busy[k] = view.LinkBusyEdge(eids[k])
+		closed[k] = view.LinkBusyEdge(eids[k])
 		spd[k] = view.Speed(j)
 		cost[k] = b.edgeCost(links, eids[k])
 	}
@@ -411,7 +407,7 @@ func (b *Balancer) planNode(v int, view *sim.View, r *rng.RNG, moves []sim.Move)
 			cand := sc.cand[:0]
 			scores := sc.scores[:0]
 			for k, j := range neighbors {
-				if used[k] || busy[k] || j == prev {
+				if closed[k] || j == prev {
 					continue
 				}
 				a := flag - muK*cost[k] - hn[k]
@@ -432,7 +428,7 @@ func (b *Balancer) planNode(v int, view *sim.View, r *rng.RNG, moves []sim.Move)
 				TaskID: id, From: v, To: j,
 				NewFlag: newFlag, Moving: true,
 			})
-			used[k] = true
+			closed[k] = true
 			load := st.Load(h)
 			hv -= load / spdV
 			hn[k] += load / spd[k]
@@ -459,7 +455,7 @@ func (b *Balancer) planNode(v int, view *sim.View, r *rng.RNG, moves []sim.Move)
 		scores := sc.scores[:0]
 		srcDrop := load / spdV
 		for k := range neighbors {
-			if used[k] || busy[k] {
+			if closed[k] {
 				continue
 			}
 			tanBeta := b.stationaryScore(hv, hn[k], srcDrop, load, spd[k], cost[k])
@@ -481,7 +477,7 @@ func (b *Balancer) planNode(v int, view *sim.View, r *rng.RNG, moves []sim.Move)
 			TaskID: id, From: v, To: j,
 			NewFlag: newFlag, Moving: !b.cfg.DisableInertia,
 		})
-		used[k] = true
+		closed[k] = true
 		hv -= load / spdV
 		hn[k] += load / spd[k]
 	}
@@ -533,7 +529,7 @@ func byLoadDescKeys(dst []loadKey, first taskmodel.Handle, st *taskmodel.Store) 
 // FeasibleStationary reports whether the paper's stationary criterion, as
 // configured, allows moving task h from i to j given the current view, and
 // returns the adjusted gradient. Exposed for tests and the experiment harness.
-func (b *Balancer) FeasibleStationary(view *sim.View, h taskmodel.Handle, i, j int) (float64, bool) {
+func (b *Balancer) FeasibleStationary(view *sim.State, h taskmodel.Handle, i, j int) (float64, bool) {
 	st := view.TaskStore()
 	load := st.Load(h)
 	tanBeta := b.stationaryScore(view.Height(i), view.Height(j), load/view.Speed(i), load, view.Speed(j), b.linkCost(view, i, j))
@@ -542,7 +538,7 @@ func (b *Balancer) FeasibleStationary(view *sim.View, h taskmodel.Handle, i, j i
 
 // FeasibleMoving reports whether the in-motion criterion allows task h
 // (resident on i with flag h*) to continue to j, returning the score a_j.
-func (b *Balancer) FeasibleMoving(view *sim.View, h taskmodel.Handle, i, j int) (float64, bool) {
+func (b *Balancer) FeasibleMoving(view *sim.State, h taskmodel.Handle, i, j int) (float64, bool) {
 	st := view.TaskStore()
 	a := st.Flag(h) - b.MuK(view, st.ID(h), i)*b.linkCost(view, i, j) - view.Height(j)
 	return a, a > 0

@@ -43,7 +43,7 @@ func TestStationaryCriterion(t *testing.T) {
 		Graph: g, Policy: New(greedyCfg()), Seed: 1,
 		Initial: [][]float64{{4, 4}, {}, {1}, {}},
 	})
-	view := e.State().View()
+	view := e.State()
 	b := New(greedyCfg())
 	task := e.State().TaskStore().AppendHandles(nil, 0)[0] // load 4 on node 0 (h=8)
 	// Towards node 1 (h=0): (8-0-8)/1 = 0, not > 0 → infeasible for the
@@ -66,7 +66,7 @@ func TestMuSFromDependenciesAndResources(t *testing.T) {
 		Initial:   [][]float64{{1, 1}, {}, {}, {}},
 		TaskGraph: tg, Resources: res,
 	})
-	view := e.State().View()
+	view := e.State()
 	b := New(greedyCfg())
 	st := e.State().TaskStore()
 	t0 := st.ID(e.State().TaskStore().AppendHandles(nil, 0)[0])
@@ -375,7 +375,7 @@ func TestFaultObliviousIgnoresFaultCost(t *testing.T) {
 	links := linkmodel.New(g, linkmodel.WithUniformFault(0.4))
 	e := engine(t, sim.Config{Graph: g, Links: links, Policy: New(greedyCfg()), Seed: 1,
 		Initial: [][]float64{{3, 1}, {}, {}, {}}})
-	view := e.State().View()
+	view := e.State()
 
 	aware := New(greedyCfg())
 	obliviousCfg := greedyCfg()

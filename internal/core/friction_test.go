@@ -157,7 +157,7 @@ func checkFrictionBound(t *testing.T, seed uint64, flags uint8, ticks int) {
 	bcfg := cfg
 	bcfg.Arbiter = ch
 	b := New(bcfg)
-	view := e.State().View()
+	view := e.State()
 	coupled := (tg != nil && cfg.CsT != 0) || (res != nil && cfg.CsR != 0)
 	for v := 0; v < n; v++ {
 		bound := b.plansNothing(v, view)

@@ -69,17 +69,16 @@ func (loadConservation) Check(s *sim.State) string {
 	return ""
 }
 
-// transferAccounting checks the SoA transfer store against the link
+// transferAccounting checks the transfer store against the link
 // occupancy table: each in-flight transfer occupies exactly one link.
 type transferAccounting struct{}
 
 func (transferAccounting) Name() string { return "transfer-accounting" }
 
 func (transferAccounting) Check(s *sim.State) string {
-	view := s.View()
 	busy := 0
 	for id := 0; id < s.Graph().NumEdges(); id++ {
-		if view.LinkBusyEdge(id) {
+		if s.LinkBusyEdge(id) {
 			busy++
 		}
 	}

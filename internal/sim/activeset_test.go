@@ -17,6 +17,12 @@ type localGreedy struct{ greedyPolicy }
 
 func (localGreedy) PlanLocality() Locality { return LocalityNeighborhood }
 
+// localNop plans nothing and declares neighbourhood locality, so its engines
+// run on the active set.
+type localNop struct{ nopPolicy }
+
+func (localNop) PlanLocality() Locality { return LocalityNeighborhood }
+
 // localSlide additionally exercises inertia (Moving deliveries and the
 // settle pass) and flag writes while staying inside the locality contract.
 type localSlide struct{}
@@ -24,7 +30,7 @@ type localSlide struct{}
 func (localSlide) Name() string           { return "local-slide" }
 func (localSlide) PlanLocality() Locality { return LocalityNeighborhood }
 
-func (localSlide) PlanNodeInto(v int, view *View, _ *rng.RNG, out []Move) []Move {
+func (localSlide) PlanNodeInto(v int, view *State, _ *rng.RNG, out []Move) []Move {
 	tasks := view.TaskStore().AppendHandles(nil, v)
 	if len(tasks) == 0 {
 		return out
@@ -58,7 +64,7 @@ type countingPolicy struct {
 
 func (c *countingPolicy) Name() string           { return c.inner.Name() }
 func (c *countingPolicy) PlanLocality() Locality { return c.inner.PlanLocality() }
-func (c *countingPolicy) PlanNodeInto(v int, view *View, r *rng.RNG, buf []Move) []Move {
+func (c *countingPolicy) PlanNodeInto(v int, view *State, r *rng.RNG, buf []Move) []Move {
 	c.calls.Add(1)
 	return c.inner.PlanNodeInto(v, view, r, buf)
 }

@@ -123,9 +123,10 @@ func TestTickWorkEstimateComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fresh engine: all 40 nodes pending, 8 resident tasks under service.
-	if got := e.tickWorkEstimate(5); got != 5+40+8 {
-		t.Fatalf("estimate = %d, want arrivals(5)+pending(40)+tasks(8)", got)
+	// Fresh engine: all 40 nodes pending, 8 resident tasks under service and
+	// ⌈40/64⌉ = 1 unit for the service walk's queue headers.
+	if got := e.tickWorkEstimate(5); got != 5+40+8+1 {
+		t.Fatalf("estimate = %d, want arrivals(5)+pending(40)+tasks(8)+headers(1)", got)
 	}
 
 	// A global policy has no active set: every node plans every tick.
@@ -143,8 +144,9 @@ func TestTickWorkEstimateComponents(t *testing.T) {
 	}
 
 	// With service on, latency-2 links and transfers in flight, the service
-	// term counts resident tasks only: a task on a link is counted once, as
-	// a transfer, not again as a live task.
+	// term counts resident tasks plus the header walk: a task on a link is
+	// counted once, as a transfer, not again as a live task, and a tick with
+	// no resident task runs no service and counts no headers.
 	g2 := topology.NewTorus(5, 8)
 	sv, err := New(Config{
 		Graph:       g2,
@@ -165,13 +167,43 @@ func TestTickWorkEstimateComponents(t *testing.T) {
 		for v := range s.Graph().N() {
 			resident += s.Queue(v).Len()
 		}
-		if got := sv.tickWorkEstimate(3) - 3 - s.ActiveNodes() - s.InFlight(); got != resident {
-			t.Fatalf("tick %d: service term = %d, want %d resident tasks (%d in flight)", tick, got, resident, s.InFlight())
+		want := 0
+		if resident > 0 {
+			want = resident + 1 // 40 headers: one unit
+		}
+		if got := sv.tickWorkEstimate(3) - 3 - s.ActiveNodes() - s.InFlight(); got != want {
+			t.Fatalf("tick %d: service term = %d, want %d (%d resident tasks, %d in flight)", tick, got, want, resident, s.InFlight())
 		}
 		sawFlight = sawFlight || s.InFlight() > 0
 	}
 	if !sawFlight {
 		t.Fatal("no transfer was ever in flight")
+	}
+
+	// A 128×128 machine serving one task: the planner has drained to the
+	// task's neighbourhood, but the service walk still reads 16384 headers,
+	// and their 256 units alone reach the default cutover, so the tick
+	// fans out instead of walking every header on one goroutine.
+	big, err := New(Config{
+		Graph:       topology.NewTorus(128, 128),
+		Policy:      localNop{},
+		Seed:        1,
+		Initial:     hotspotInitial(128*128, 1),
+		ServiceRate: 0.001,
+		Workers:     2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer big.Close()
+	big.Run(2)
+	s := big.State()
+	if got, want := big.tickWorkEstimate(0), s.ActiveNodes()+1+256; got != want {
+		t.Fatalf("one-task serviced estimate = %d, want pending(%d)+tasks(1)+headers(256)", got, s.ActiveNodes())
+	}
+	big.Step()
+	if !big.parTick {
+		t.Fatal("a serviced 16384-node tick ran inline below the cutover")
 	}
 
 	// After fused ticks, in which several workers mark concurrently, the

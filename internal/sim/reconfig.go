@@ -156,20 +156,12 @@ func (e *Engine) Reconfigure(rc Reconfig) error {
 	var recalls []recallRec
 	for k := range s.shards {
 		sh := &s.shards[k]
-		cnt := sh.len()
-		for i := 0; i < cnt; i++ {
-			from, to := int(sh.from[i]), int(sh.to[i])
+		for _, t := range sh.recs {
+			from, to := int(t.from), int(t.to)
 			if !dead[from] && !dead[to] {
 				if eid, ok := rc.Graph.EdgeID(from, to); ok {
-					kept = append(kept, transferRec{
-						task:      sh.task[i],
-						from:      sh.from[i],
-						to:        sh.to[i],
-						edge:      int32(eid),
-						remaining: sh.remaining[i],
-						bounce:    sh.bounce[i],
-						moving:    sh.moving[i],
-					})
+					t.edge = int32(eid)
+					kept = append(kept, t)
 					continue
 				}
 			}
@@ -182,10 +174,10 @@ func (e *Engine) Reconfigure(rc Reconfig) error {
 			if dead[tgt] {
 				tgt = firstAlive
 			}
-			st.SetMoving(sh.task[i], false)
-			recalls = append(recalls, recallRec{h: sh.task[i], node: int32(tgt)})
+			st.SetMoving(t.task, false)
+			recalls = append(recalls, recallRec{h: t.task, node: int32(tgt)})
 		}
-		sh.truncate(0)
+		sh.recs = sh.recs[:0]
 	}
 
 	// 2. Swap in the new topology and lay the engine out over it: existing
@@ -235,11 +227,12 @@ func (e *Engine) Reconfigure(rc Reconfig) error {
 		st.RestoreTotal(v, 0) // exactly empty, whatever the removals' float residue
 	}
 
-	// 4. Rebuild the transfer shards (push order = canonical pre-reconfig
+	// 4. Rebuild the transfer shards (append order = canonical pre-reconfig
 	// order) and link-busy flags. The refilled queues need nothing more: the
 	// service walk reads their headers directly.
 	for _, r := range kept {
-		s.shards[s.nodeShard[r.to]].push(r)
+		sh := &s.shards[s.nodeShard[r.to]]
+		sh.recs = append(sh.recs, r)
 		s.linkBusy[r.edge] = true
 	}
 

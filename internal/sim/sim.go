@@ -6,8 +6,8 @@
 // link", §5.1); the engine makes that precise. One tick proceeds as:
 //
 //  1. workload arrivals — new tasks are injected at nodes;
-//  2. planning — the policy proposes task migrations from a consistent view
-//     of the state at the start of the tick;
+//  2. planning — the policy reads the State as it stood at the start of
+//     the tick and proposes task migrations;
 //  3. application — proposed moves are validated (edge exists, link free,
 //     task resident, one transfer per link, one move per task) and become
 //     in-flight transfers occupying their link for Latency(u,v) ticks;
@@ -21,7 +21,7 @@
 //
 // Every phase of the tick — not just planning — runs as a deterministic
 // sharded pipeline: nodes are partitioned into numShards contiguous ranges,
-// transfers live in a struct-of-arrays store sharded by destination node,
+// transfers are plain records in per-shard slices keyed by destination node,
 // and each phase fans out across shards (on the persistent worker pool when
 // Config.Workers > 1, inline otherwise). Cross-shard effects flow through
 // per-shard outboxes committed in canonical shard order, per-shard partial
@@ -90,17 +90,17 @@ type Policy interface {
 	// shard's reusable move buffer, so a policy that only appends allocates
 	// nothing in steady state; it may only append to buf and must not keep
 	// it after the call. It is called once per node per tick, possibly
-	// concurrently; implementations must treat the view as read-only and
+	// concurrently; implementations must treat the state as read-only and
 	// draw randomness only from r, which is an independent deterministic
 	// stream per (node, tick).
-	PlanNodeInto(v int, view *View, r *rng.RNG, buf []Move) []Move
+	PlanNodeInto(v int, s *State, r *rng.RNG, buf []Move) []Move
 }
 
 // TickPreparer is an optional Policy extension: PrepareTick runs once per
 // tick, sequentially, before the planning fan-out. Global-relaxation
 // policies (the GM gradient map) use it to refresh shared per-tick state.
 type TickPreparer interface {
-	PrepareTick(view *View)
+	PrepareTick(s *State)
 }
 
 // Arrival is one task injection produced by an ArrivalFunc.
@@ -148,8 +148,8 @@ func (c *Counters) add(d Counters) {
 	c.TasksCompleted += d.TasksCompleted
 }
 
-// State is the full mutable simulation state. Policies receive it wrapped in
-// a read-only View.
+// State is the full mutable simulation state. Policies, metrics hooks and
+// tests read it through the same methods; policies must not mutate it.
 type State struct {
 	g      *topology.Graph
 	links  *linkmodel.Params
@@ -192,8 +192,6 @@ type State struct {
 	// active is the dirty-tracking state of the incremental planner, nil
 	// when the engine runs full sweeps (global policy or Config.FullSweep).
 	active *activeSet
-
-	view View // cached read-only face, so View() does not allocate
 }
 
 // nodeAlive reports whether node v has not left the topology. The nil check
@@ -235,86 +233,8 @@ func (s *State) ActiveNodes() int {
 	return s.active.pendingCount()
 }
 
-// View is the read-only face of State handed to policies and metrics hooks.
-type View struct {
-	s *State
-}
-
-// Graph returns the topology.
-func (v *View) Graph() *topology.Graph { return v.s.g }
-
-// NodeAlive reports whether node n is part of the current topology. Dead
-// nodes stay in the id space as isolated nodes with empty queues.
-func (v *View) NodeAlive(n int) bool { return v.s.nodeAlive(n) }
-
-// Links returns the link parameters.
-func (v *View) Links() *linkmodel.Params { return v.s.links }
-
-// TaskGraph returns the task-dependency graph T (possibly nil).
-func (v *View) TaskGraph() *taskmodel.Graph { return v.s.tgraph }
-
-// Resources returns the resource-affinity matrix R (possibly nil).
-func (v *View) Resources() *taskmodel.Resources { return v.s.res }
-
-// Tick returns the current tick number.
-func (v *View) Tick() int64 { return v.s.tick }
-
-// N returns the number of nodes.
-func (v *View) N() int { return v.s.g.N() }
-
-// Load returns the raw resident load of node n.
-func (v *View) Load(n int) float64 { return v.s.Queue(n).Total() }
-
-// Speed returns the processing speed of node n (1 for homogeneous systems).
-func (v *View) Speed(n int) float64 { return v.s.Speed(n) }
-
-// Height returns h(v) — the height of the load surface at node n. On a
-// homogeneous system this is the raw load; with heterogeneous speeds it is
-// load/speed, the *time to drain* the node, which is the quantity a
-// balancer should equalise (a twice-as-fast processor should carry twice
-// the load). This speed-weighted surface is the natural generalisation of
-// the paper's M3 mapping to non-identical processors.
-func (v *View) Height(n int) float64 { return v.s.Height(n) }
-
-// Heights materialises the full height vector.
-func (v *View) Heights() []float64 { return v.s.Heights() }
-
-// FirstTask returns the oldest task resident at node n, or NoHandle when n
-// holds none. TaskStore().Next walks on in canonical insertion order:
-// read-only and allocation-free, with field access through TaskStore.
-func (v *View) FirstTask(n int) taskmodel.Handle { return v.s.Queue(n).Front() }
-
-// TaskStore returns the arena holding every task's fields.
-func (v *View) TaskStore() *taskmodel.Store { return v.s.tasks }
-
-// DepWeightToNode returns the summed dependency weight from task id to the
-// tasks co-located at node n — the Σ T term of the µs computation — using
-// the dependency graph's flat adjacency and the queue's O(1) membership
-// index. Returns 0 when no dependency graph is attached.
-func (v *View) DepWeightToNode(id taskmodel.ID, n int) float64 {
-	return v.s.tgraph.WeightToQueue(id, v.s.tasks, n)
-}
-
-// LinkBusy reports whether a transfer holds the {u,v} link.
-func (v *View) LinkBusy(u, w int) bool {
-	id, ok := v.s.g.EdgeID(u, w)
-	if !ok {
-		return true // non-edges are permanently unusable
-	}
-	return v.s.linkBusy[id]
-}
-
-// LinkBusyEdge reports whether the link with the given canonical edge id is
-// held by a transfer (see topology.Graph.IncidentEdgeIDs); no map lookup.
-func (v *View) LinkBusyEdge(id int) bool { return v.s.linkBusy[id] }
-
-// Loads materialises all node loads.
-func (v *View) Loads() []float64 { return v.s.Loads() }
-
-// HeightsInto fills dst with the per-node surface heights, growing it only
-// when needed, and returns it. Policies that need the full vector every tick
-// use this with a reusable scratch buffer.
-func (v *View) HeightsInto(dst []float64) []float64 { return v.s.HeightsInto(dst) }
+// View is another name for State, kept for code that still names it.
+type View = State
 
 // Loads returns the per-node resident loads.
 func (s *State) Loads() []float64 {
@@ -372,6 +292,44 @@ func (s *State) Graph() *topology.Graph { return s.g }
 // Links returns the link parameters.
 func (s *State) Links() *linkmodel.Params { return s.links }
 
+// TaskGraph returns the task-dependency graph T (possibly nil).
+func (s *State) TaskGraph() *taskmodel.Graph { return s.tgraph }
+
+// Resources returns the resource-affinity matrix R (possibly nil).
+func (s *State) Resources() *taskmodel.Resources { return s.res }
+
+// N returns the number of nodes.
+func (s *State) N() int { return s.g.N() }
+
+// Load returns the raw resident load of node n.
+func (s *State) Load(n int) float64 { return s.Queue(n).Total() }
+
+// FirstTask returns the oldest task resident at node n, or NoHandle when n
+// holds none. TaskStore().Next walks on in canonical insertion order:
+// read-only and allocation-free, with field access through TaskStore.
+func (s *State) FirstTask(n int) taskmodel.Handle { return s.Queue(n).Front() }
+
+// DepWeightToNode returns the summed dependency weight from task id to the
+// tasks co-located at node n — the Σ T term of the µs computation — using
+// the dependency graph's flat adjacency and the queue's O(1) membership
+// index. Returns 0 when no dependency graph is attached.
+func (s *State) DepWeightToNode(id taskmodel.ID, n int) float64 {
+	return s.tgraph.WeightToQueue(id, s.tasks, n)
+}
+
+// LinkBusy reports whether a transfer holds the {u,w} link.
+func (s *State) LinkBusy(u, w int) bool {
+	id, ok := s.g.EdgeID(u, w)
+	if !ok {
+		return true // non-edges are permanently unusable
+	}
+	return s.linkBusy[id]
+}
+
+// LinkBusyEdge reports whether the link with the given canonical edge id is
+// held by a transfer (see topology.Graph.IncidentEdgeIDs); no map lookup.
+func (s *State) LinkBusyEdge(id int) bool { return s.linkBusy[id] }
+
 // Queue returns the queue header of node n (engine internal and test use;
 // the queue operations are TaskStore methods keyed by node).
 func (s *State) Queue(n int) *taskmodel.Queue { return s.tasks.Queue(n) }
@@ -384,9 +342,8 @@ func (s *State) TaskStore() *taskmodel.Store { return s.tasks }
 // shard). Harness and test use.
 func (s *State) VisitTransfers(f func(h taskmodel.Handle, from, to int)) {
 	for k := range s.shards {
-		sh := &s.shards[k]
-		for i, h := range sh.task {
-			f(h, int(sh.from[i]), int(sh.to[i]))
+		for _, t := range s.shards[k].recs {
+			f(t.task, int(t.from), int(t.to))
 		}
 	}
 }
@@ -395,7 +352,7 @@ func (s *State) VisitTransfers(f func(h taskmodel.Handle, from, to int)) {
 func (s *State) InFlight() int {
 	n := 0
 	for k := range s.shards {
-		n += s.shards[k].len()
+		n += len(s.shards[k].recs)
 	}
 	return n
 }
@@ -406,8 +363,8 @@ func (s *State) InFlight() int {
 func (s *State) InFlightLoad() float64 {
 	t := 0.0
 	for k := range s.shards {
-		for _, h := range s.shards[k].task {
-			t += s.tasks.Load(h)
+		for _, r := range s.shards[k].recs {
+			t += s.tasks.Load(r.task)
 		}
 	}
 	return t
@@ -424,16 +381,6 @@ func (s *State) TotalLoad() float64 {
 
 // ResponseTimes returns summary statistics of completed-task response times.
 func (s *State) ResponseTimes() *stats.Online { return &s.respTime }
-
-// View returns the read-only view of the state. The view is cached on the
-// state (set up at construction) so per-tick calls do not allocate and are
-// safe from concurrent planning goroutines.
-func (s *State) View() *View {
-	if s.view.s == nil {
-		s.view.s = s // zero-value State constructed outside New
-	}
-	return &s.view
-}
 
 // Config assembles an engine.
 type Config struct {
@@ -467,7 +414,7 @@ type Config struct {
 
 	// SerialCutover tunes the adaptive serial cutover of the parallel
 	// engine: a tick whose estimated work (nodes to re-plan + transfers in
-	// flight + arrivals + resident tasks under service) falls below the
+	// flight + arrivals + the service walk) falls below the
 	// threshold runs inline on the calling goroutine with zero worker
 	// wakeups — post-convergence ticks are nanoseconds of work and must not
 	// pay dispatch. 0 selects DefaultSerialCutover; negative disables the
@@ -490,12 +437,13 @@ type Config struct {
 
 // DefaultSerialCutover is the tick-work estimate (in work units: one node
 // planned, one transfer advanced, one arrival injected, one resident task
-// under service each count 1) below which a parallel engine runs the tick
-// inline instead of waking the fused worker loop. The fused dispatch costs
-// a few microseconds per tick (wakeup + per-phase barriers) and one work
-// unit costs on the order of 100ns, so the measured crossover sits at a few
-// hundred units; see BenchmarkFusedDispatchOverhead and the Workers-sweep
-// benchmarks that bracket it.
+// under service and 64 queue headers walked by service each count 1) below
+// which a parallel engine runs the tick inline instead of waking the fused
+// worker loop. The fused dispatch costs a few microseconds per tick (wakeup
+// + per-phase barriers) and one work unit costs on the order of 100ns, so
+// the measured crossover sits at a few hundred units; see
+// BenchmarkFusedDispatchOverhead and the Workers-sweep benchmarks that
+// bracket it.
 const DefaultSerialCutover = 256
 
 // Engine drives the simulation.
@@ -604,7 +552,6 @@ func New(cfg Config) (*Engine, error) {
 		tasks:  taskmodel.NewStore(),
 		speeds: cfg.Speeds,
 	}
-	s.view.s = s
 	base := rng.New(cfg.Seed)
 	e := &Engine{
 		cfg:        cfg,
@@ -729,14 +676,16 @@ func (e *Engine) RunUntil(pred func(*State) bool, maxTicks int) (int, bool) {
 // tickWorkEstimate approximates this tick's work in fan-out work units:
 // nodes to re-plan (the exact popcount of the active set's pending bits, or
 // all N on a full-sweep engine), transfers to advance, arrivals to inject,
-// and — when service runs — resident tasks as a proxy for the service walk.
-// Between ticks every live task is either resident or in flight, so the
-// resident count is the store's live count minus the transfers. The pending
-// popcount reads N/64 words; every other input is O(numShards) or O(1). Step
-// asks only on a parallel engine, between ticks, so the marking path keeps
-// no counter for it. The estimate only ever picks an execution path (inline
-// vs fused), both bit-identical, so its proxies can cost performance at the
-// cutover boundary, never correctness.
+// and — when service runs — the service walk: one unit per resident task
+// plus one per 64 queue headers read, since the walk reads every header of
+// the machine even when few queues hold tasks. Between ticks every live task
+// is either resident or in flight, so the resident count is the store's live
+// count minus the transfers, and service runs exactly when it is positive.
+// The pending popcount reads N/64 words; every other input is O(numShards)
+// or O(1). Step asks only on a parallel engine, between ticks, so the
+// marking path keeps no counter for it. The estimate only ever picks an
+// execution path (inline vs fused), both bit-identical, so its proxies can
+// cost performance at the cutover boundary, never correctness.
 func (e *Engine) tickWorkEstimate(arrivals int) int {
 	s := e.state
 	inflight := s.InFlight()
@@ -746,8 +695,8 @@ func (e *Engine) tickWorkEstimate(arrivals int) int {
 	} else {
 		w += s.g.N()
 	}
-	if e.cfg.ServiceRate > 0 {
-		w += s.tasks.Live() - inflight
+	if resident := s.tasks.Live() - inflight; e.cfg.ServiceRate > 0 && resident > 0 {
+		w += resident + (s.g.N()+63)/64
 	}
 	return w
 }
@@ -794,7 +743,7 @@ func (e *Engine) Step() {
 	// made atomically from any worker, but consumed in ascending node order
 	// within ascending shards, the canonical activation order).
 	if p, ok := e.cfg.Policy.(TickPreparer); ok {
-		p.PrepareTick(s.View())
+		p.PrepareTick(s)
 	}
 	if a := s.active; a != nil {
 		a.beginTick()
@@ -908,7 +857,6 @@ func sortMovesByTask(moves []Move) {
 func (e *Engine) planFilterShard(k int, r *rng.RNG) {
 	s := e.state
 	p := &e.parts[k]
-	rejectedBefore := p.counters.Rejected
 	tickBase := uint64(s.tick) * uint64(s.g.N())
 	lo, hi := s.shardLo[k], s.shardLo[k+1]
 	if a := s.active; a != nil {
@@ -927,9 +875,6 @@ func (e *Engine) planFilterShard(k int, r *rng.RNG) {
 			e.planNode(v, p, r, tickBase)
 		}
 	}
-	if len(p.moves) > 0 || p.counters.Rejected != rejectedBefore {
-		p.dirty = true
-	}
 }
 
 // planNode plans one node from its (node, tick) stream and reduces its
@@ -942,7 +887,7 @@ func (e *Engine) planNode(v int, p *shardPart, r *rng.RNG, tickBase uint64) {
 	// regrew the buffer, whose growth the shard thereby keeps) and filtered
 	// there in place.
 	n := len(p.moves)
-	moves := e.cfg.Policy.PlanNodeInto(v, s.View(), r, p.moves[n:])
+	moves := e.cfg.Policy.PlanNodeInto(v, s, r, p.moves[n:])
 	if len(moves) == 0 {
 		return
 	}
@@ -1075,11 +1020,9 @@ func (e *Engine) commitOutboxes(j int) {
 		if e.parts[k].outMask&bit == 0 {
 			continue
 		}
-		recs := e.parts[k].out[j]
-		for i := range recs {
-			sh.push(recs[i])
-		}
-		e.parts[k].out[j] = recs[:0]
+		out := e.parts[k].out[j]
+		sh.recs = append(sh.recs, out...)
+		e.parts[k].out[j] = out[:0]
 	}
 }
 
@@ -1114,23 +1057,18 @@ func (e *Engine) advanceShard(k int, r *rng.RNG) {
 	st := s.tasks
 	sh := &s.shards[k]
 	p := &e.parts[k]
-	w := 0
-	n := sh.len()
-	if n > 0 {
-		p.dirty = true // conservative: resolutions may write any partial
-	}
-	for i := 0; i < n; i++ {
-		rem := sh.remaining[i] - 1
-		if rem > 0 {
-			sh.keepAt(w, i, rem)
-			w++
+	kept := sh.recs[:0]
+	for _, t := range sh.recs {
+		t.remaining--
+		if t.remaining > 0 {
+			kept = append(kept, t)
 			continue
 		}
-		eid := int(sh.edge[i])
-		h := sh.task[i]
+		eid := int(t.edge)
+		h := t.task
 		load := st.Load(h)
 		cost := s.links.CostByEdge(eid)
-		if !sh.bounce[i] {
+		if !t.bounce {
 			if fp := s.links.DeliveryFailureProbByEdge(eid); fp > 0 {
 				e.tickFault.SplitInto(uint64(st.ID(h)), r)
 				if r.Bernoulli(fp) {
@@ -1141,13 +1079,13 @@ func (e *Engine) advanceShard(k int, r *rng.RNG) {
 					// recovery, not a fresh transmission).
 					p.counters.Faults++
 					p.counters.BouncedTraffic += load * cost
-					dst := s.nodeShard[sh.from[i]]
+					dst := s.nodeShard[t.from]
 					p.outMask |= 1 << dst
 					p.out[dst] = append(p.out[dst], transferRec{
 						task:      h,
-						from:      sh.to[i],
-						to:        sh.from[i],
-						edge:      sh.edge[i],
+						from:      t.to,
+						to:        t.from,
+						edge:      t.edge,
 						remaining: int32(s.links.LatencyByEdge(eid)),
 						bounce:    true,
 					})
@@ -1157,27 +1095,27 @@ func (e *Engine) advanceShard(k int, r *rng.RNG) {
 		}
 		// Delivery (or bounce completion).
 		s.linkBusy[eid] = false
-		to := int(sh.to[i])
+		to := int(t.to)
 		st.Enqueue(to, h)
 		// to's load rose and the link freed; the sender is a neighbour of
 		// to, so the neighbourhood mark re-activates it as well. A bounce
 		// *start* needs no mark: the link stays busy and no height changes.
 		e.markDirtyNeighborhood(to)
-		if sh.bounce[i] {
+		if t.bounce {
 			st.SetMoving(h, false)
 		} else {
-			st.SetPrev(h, int(sh.from[i]))
+			st.SetPrev(h, int(t.from))
 			st.AddHop(h)
 			p.counters.Migrations++
 			p.counters.MigratedLoad += load
 			p.counters.Traffic += load * cost
-			st.SetMoving(h, sh.moving[i])
-			if sh.moving[i] {
-				p.moving = append(p.moving, movingRec{h: h, id: st.ID(h), node: sh.to[i]})
+			st.SetMoving(h, t.moving)
+			if t.moving {
+				p.moving = append(p.moving, movingRec{h: h, id: st.ID(h), node: t.to})
 			}
 		}
 	}
-	sh.truncate(w)
+	sh.recs = kept
 }
 
 // serviceShard consumes service capacity on shard k's non-empty queues in
@@ -1197,24 +1135,19 @@ func (e *Engine) serviceShard(k int, _ *rng.RNG) {
 			e.markDirtyNeighborhood(v)
 		}
 	}
-	if p.counters.Consumed != 0 || len(p.done) > 0 {
-		p.dirty = true
-	}
 }
 
 // reduce folds every shard partial into the global state in ascending shard
 // order — the single canonical summation order shared by the sequential and
-// parallel engines.
+// parallel engines. All numShards partials fold every tick: an untouched one
+// adds integer 0 and +0.0 to counters that start at +0.0 and only grow, so
+// folding it is exact.
 func (e *Engine) reduce() {
 	s := e.state
 	st := s.tasks
 	next := e.movingNext[:0]
 	for k := 0; k < numShards; k++ {
 		p := &e.parts[k]
-		if !p.dirty {
-			continue // float-exact: an untouched partial folds to a no-op
-		}
-		p.dirty = false
 		s.counters.add(p.counters)
 		// Completed tasks leave the arena here — inside the ascending-shard
 		// fold, so the free-list order (and with it every future handle

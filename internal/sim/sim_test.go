@@ -18,7 +18,7 @@ import (
 type nopPolicy struct{}
 
 func (nopPolicy) Name() string { return "none" }
-func (nopPolicy) PlanNodeInto(_ int, _ *View, _ *rng.RNG, buf []Move) []Move {
+func (nopPolicy) PlanNodeInto(_ int, _ *State, _ *rng.RNG, buf []Move) []Move {
 	return buf
 }
 
@@ -29,7 +29,7 @@ type greedyPolicy struct{}
 
 func (greedyPolicy) Name() string { return "test-greedy" }
 
-func (greedyPolicy) PlanNodeInto(v int, view *View, _ *rng.RNG, buf []Move) []Move {
+func (greedyPolicy) PlanNodeInto(v int, view *State, _ *rng.RNG, buf []Move) []Move {
 	tasks := view.TaskStore().AppendHandles(nil, v)
 	if len(tasks) == 0 {
 		return buf
@@ -61,7 +61,7 @@ func (greedyPolicy) PlanNodeInto(v int, view *View, _ *rng.RNG, buf []Move) []Mo
 }
 
 // taskIDs returns the ids of the tasks resident at node n, in queue order.
-func taskIDs(view *View, n int) []taskmodel.ID {
+func taskIDs(view *State, n int) []taskmodel.ID {
 	var ids []taskmodel.ID
 	for _, h := range view.TaskStore().AppendHandles(nil, n) {
 		ids = append(ids, view.TaskStore().ID(h))
@@ -162,7 +162,7 @@ func TestGreedyBalancesRing(t *testing.T) {
 }
 
 func TestMoveValidationRejectsBadMoves(t *testing.T) {
-	bad := policyFunc(func(v int, view *View, r *rng.RNG) []Move {
+	bad := policyFunc(func(v int, view *State, r *rng.RNG) []Move {
 		if v != 0 || view.Tick() != 0 {
 			return nil
 		}
@@ -191,10 +191,10 @@ func TestMoveValidationRejectsBadMoves(t *testing.T) {
 }
 
 // policyFunc adapts a function to Policy.
-type policyFunc func(v int, view *View, r *rng.RNG) []Move
+type policyFunc func(v int, view *State, r *rng.RNG) []Move
 
 func (policyFunc) Name() string { return "func" }
-func (f policyFunc) PlanNodeInto(v int, w *View, r *rng.RNG, buf []Move) []Move {
+func (f policyFunc) PlanNodeInto(v int, w *State, r *rng.RNG, buf []Move) []Move {
 	return append(buf, f(v, w, r)...)
 }
 
@@ -203,7 +203,7 @@ func (f policyFunc) PlanNodeInto(v int, w *View, r *rng.RNG, buf []Move) []Move 
 // link does not revive a later duplicate-task move — the deterministic
 // conflict rules of the sharded apply phase.
 func TestIntraNodeLinkClaimCanonicalOrder(t *testing.T) {
-	p := policyFunc(func(v int, view *View, r *rng.RNG) []Move {
+	p := policyFunc(func(v int, view *State, r *rng.RNG) []Move {
 		if v != 0 || view.Tick() != 0 {
 			return nil
 		}
@@ -218,7 +218,7 @@ func TestIntraNodeLinkClaimCanonicalOrder(t *testing.T) {
 	e, _ := New(ringConfig(p, [][]float64{{2, 3}, {}, {}, {}}))
 	e.Run(1)
 	s := e.State()
-	if got := taskIDs(s.View(), 1); len(got) != 1 || got[0] != 0 {
+	if got := taskIDs(s, 1); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("lowest task id must win the link, delivered %v", got)
 	}
 	if s.Counters().Rejected != 1 {
@@ -232,7 +232,7 @@ func TestOneTransferPerLinkPerTick(t *testing.T) {
 	// 7, on a ring of 64 both in shard 0, so the contest is decided across
 	// shards and within one; Workers 4 with the cutover off runs it on the
 	// fused worker loop.
-	p := policyFunc(func(v int, view *View, r *rng.RNG) []Move {
+	p := policyFunc(func(v int, view *State, r *rng.RNG) []Move {
 		if view.Tick() != 0 || v > 1 {
 			return nil
 		}
@@ -263,7 +263,7 @@ func TestOneTransferPerLinkPerTick(t *testing.T) {
 					t.Fatalf("the second proposal must be rejected, got %d", s.Counters().Rejected)
 				}
 				// Tasks are numbered in node order: node 0 holds task 0.
-				if got := taskIDs(s.View(), 1); !slices.Contains(got, 0) || s.Queue(0).Len() != 0 {
+				if got := taskIDs(s, 1); !slices.Contains(got, 0) || s.Queue(0).Len() != 0 {
 					t.Fatalf("node 0's claim must win the link: node 1 holds %v, node 0 holds %d tasks",
 						got, s.Queue(0).Len())
 				}
@@ -275,7 +275,7 @@ func TestOneTransferPerLinkPerTick(t *testing.T) {
 func TestTransferLatency(t *testing.T) {
 	g := topology.NewRing(4)
 	links := linkmodel.New(g, linkmodel.WithUniformLength(3)) // latency 3
-	moveOnce := policyFunc(func(v int, view *View, r *rng.RNG) []Move {
+	moveOnce := policyFunc(func(v int, view *State, r *rng.RNG) []Move {
 		if v == 0 && view.Tick() == 0 {
 			return []Move{{TaskID: taskIDs(view, 0)[0], From: 0, To: 1, NewFlag: NaNFlag()}}
 		}
@@ -288,14 +288,14 @@ func TestTransferLatency(t *testing.T) {
 	if s.InFlight() != 1 || s.Queue(1).Len() != 0 {
 		t.Fatal("task must still be in flight after 1 tick")
 	}
-	if !s.View().LinkBusy(0, 1) {
+	if !s.LinkBusy(0, 1) {
 		t.Fatal("link must be busy during transfer")
 	}
 	e.Run(2)
 	if s.InFlight() != 0 || s.Queue(1).Len() != 1 {
 		t.Fatal("task must arrive after 3 ticks")
 	}
-	if s.View().LinkBusy(0, 1) {
+	if s.LinkBusy(0, 1) {
 		t.Fatal("link must free after delivery")
 	}
 	if s.Counters().Traffic <= 0 {
@@ -303,8 +303,79 @@ func TestTransferLatency(t *testing.T) {
 	}
 }
 
+// TestTransferLatencyExact pins the tick a transfer lands on, tick by tick:
+// a move over a latency-L link leaves its sender at once, holds the link for
+// exactly L ticks and lands at the end of the L-th. A transfer that faults
+// on arrival bounces straight back, and its return leg holds the link for L
+// more ticks before the task is home. Delivering one tick early or one tick
+// late fails both cases.
+func TestTransferLatencyExact(t *testing.T) {
+	const L = 3
+	for _, tc := range []struct {
+		name   string
+		fault  float64
+		landed int // tick count after which the link is free again
+		home   int // node holding the task then
+	}{
+		{"delivery", 0, L, 1},
+		{"bounce", 1, 2 * L, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := topology.NewRing(4)
+			links := linkmodel.New(g, linkmodel.WithUniformLength(L), linkmodel.WithUniformFault(tc.fault))
+			if got := links.Latency(0, 1); got != L {
+				t.Fatalf("link latency %d, want %d", got, L)
+			}
+			moveOnce := policyFunc(func(v int, view *State, r *rng.RNG) []Move {
+				if v == 0 && view.Tick() == 0 {
+					return []Move{{TaskID: taskIDs(view, 0)[0], From: 0, To: 1, NewFlag: NaNFlag()}}
+				}
+				return nil
+			})
+			e, err := New(Config{Graph: g, Links: links, Policy: moveOnce, Seed: 1,
+				Initial: [][]float64{{2}, {}, {}, {}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := e.State()
+			for tick := 1; tick <= tc.landed+L; tick++ {
+				e.Step()
+				// The transfer runs 0 -> 1 until it arrives at the end of
+				// tick L; a fault there turns it into the 1 -> 0 bounce leg.
+				var legs [][2]int
+				s.VisitTransfers(func(_ taskmodel.Handle, from, to int) {
+					legs = append(legs, [2]int{from, to})
+				})
+				if tick < tc.landed {
+					want := [2]int{0, 1}
+					if tick >= L {
+						want = [2]int{1, 0}
+					}
+					if len(legs) != 1 || legs[0] != want || !s.LinkBusy(0, 1) ||
+						s.Queue(0).Len() != 0 || s.Queue(1).Len() != 0 {
+						t.Fatalf("after tick %d: transfers %v, link busy %t, queue lengths %d/%d; want one transfer %v holding the link",
+							tick, legs, s.LinkBusy(0, 1), s.Queue(0).Len(), s.Queue(1).Len(), want)
+					}
+					continue
+				}
+				if len(legs) != 0 || s.LinkBusy(0, 1) || s.Queue(tc.home).Len() != 1 {
+					t.Fatalf("after tick %d: transfers %v, link busy %t, node %d holds %d tasks; want the task landed at tick %d",
+						tick, legs, s.LinkBusy(0, 1), tc.home, s.Queue(tc.home).Len(), tc.landed)
+				}
+			}
+			c := s.Counters()
+			if tc.fault > 0 && (c.Faults != 1 || c.Migrations != 0) {
+				t.Fatalf("faults %d, migrations %d; want the one transfer faulted and bounced home", c.Faults, c.Migrations)
+			}
+			if tc.fault == 0 && (c.Faults != 0 || c.Migrations != 1) {
+				t.Fatalf("faults %d, migrations %d; want one delivery", c.Faults, c.Migrations)
+			}
+		})
+	}
+}
+
 func TestFlagWrittenOnDeparture(t *testing.T) {
-	p := policyFunc(func(v int, view *View, r *rng.RNG) []Move {
+	p := policyFunc(func(v int, view *State, r *rng.RNG) []Move {
 		if v == 0 && view.Tick() == 0 {
 			return []Move{{TaskID: taskIDs(view, 0)[0], From: 0, To: 1, NewFlag: 7.5, Moving: true}}
 		}
@@ -334,7 +405,7 @@ func TestFaultsBounceTasks(t *testing.T) {
 	g := topology.NewRing(4)
 	links := linkmodel.New(g, linkmodel.WithUniformFault(0.95))
 	// Node 0 keeps trying to push its task to node 1.
-	p := policyFunc(func(v int, view *View, r *rng.RNG) []Move {
+	p := policyFunc(func(v int, view *State, r *rng.RNG) []Move {
 		if ids := taskIDs(view, 0); v == 0 && len(ids) > 0 && !view.LinkBusy(0, 1) {
 			return []Move{{TaskID: ids[0], From: 0, To: 1, NewFlag: NaNFlag()}}
 		}

@@ -287,16 +287,16 @@ func (e *Engine) Snapshot() ([]byte, error) {
 
 	// Transfer shards, in shard order, store order within each shard.
 	for k := range s.shards {
-		sh := &s.shards[k]
-		w.u64(uint64(sh.len()))
-		for i := range sh.task {
-			w.u32(uint32(sh.task[i]))
-			w.u32(uint32(sh.from[i]))
-			w.u32(uint32(sh.to[i]))
-			w.u32(uint32(sh.edge[i]))
-			w.u32(uint32(sh.remaining[i]))
-			w.bool(sh.bounce[i])
-			w.bool(sh.moving[i])
+		recs := s.shards[k].recs
+		w.u64(uint64(len(recs)))
+		for _, t := range recs {
+			w.u32(uint32(t.task))
+			w.u32(uint32(t.from))
+			w.u32(uint32(t.to))
+			w.u32(uint32(t.edge))
+			w.u32(uint32(t.remaining))
+			w.bool(t.bounce)
+			w.bool(t.moving)
 		}
 	}
 
@@ -595,7 +595,7 @@ func (e *Engine) restoreBody(r *snapReader) error {
 			if r.err != nil {
 				return r.err
 			}
-			sh.push(rec)
+			sh.recs = append(sh.recs, rec)
 			s.linkBusy[rec.edge] = true
 		}
 	}

@@ -107,15 +107,15 @@ func linkStateEdits(tb testing.TB) (snap []byte, edits []snapEdit) {
 
 	// The first transfer's record, found by its leading 20 bytes; its edge
 	// field sits at offset 12.
-	var sh *transferShard
+	var t transferRec
 	for k := range s.shards {
-		if s.shards[k].len() > 0 {
-			sh = &s.shards[k]
+		if len(s.shards[k].recs) > 0 {
+			t = s.shards[k].recs[0]
 			break
 		}
 	}
-	rec := binary.LittleEndian.AppendUint32(nil, uint32(sh.task[0]))
-	for _, f := range []int32{sh.from[0], sh.to[0], sh.edge[0], sh.remaining[0]} {
+	rec := binary.LittleEndian.AppendUint32(nil, uint32(t.task))
+	for _, f := range []int32{t.from, t.to, t.edge, t.remaining} {
 		rec = binary.LittleEndian.AppendUint32(rec, uint32(f))
 	}
 	recAt := bytes.Index(snap, rec)
@@ -127,7 +127,7 @@ func linkStateEdits(tb testing.TB) (snap []byte, edits []snapEdit) {
 	busyFree[busyAt+free] = 1
 	wrongEdge := append([]byte(nil), snap...)
 	binary.LittleEndian.PutUint32(wrongEdge[recAt+12:], uint32(free))
-	wrongEdge[busyAt+int(sh.edge[0])] = 0
+	wrongEdge[busyAt+int(t.edge)] = 0
 	wrongEdge[busyAt+free] = 1
 	return snap, []snapEdit{
 		{"busy flag on a free link", "busy flag", busyFree},

@@ -66,10 +66,11 @@ type (
 	Policy = sim.Policy
 	// Move is one proposed task migration.
 	Move = sim.Move
-	// View is the read-only simulation state handed to policies.
-	View = sim.View
-	// State is the full simulation state.
+	// State is the full simulation state; policies read it and must not
+	// mutate it.
 	State = sim.State
+	// View is another name for State, kept for code that still names it.
+	View = sim.View
 	// Arrival is one dynamic task injection.
 	Arrival = sim.Arrival
 	// ArrivalFunc generates dynamic workload.
