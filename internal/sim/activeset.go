@@ -78,8 +78,8 @@ func (b nodeBits) set(v int) {
 
 // rangeWord returns word w with the bits outside the node range [lo, hi)
 // masked off: shard ranges are not 64-aligned, so a boundary word is shared
-// with the neighbouring shard. A plain load: callers read a buffer no worker
-// mutates meanwhile (the frozen plan set, or pending between ticks).
+// with the neighbouring shard. A plain load: the planning walk reads the
+// frozen plan set, which no worker mutates meanwhile.
 func (b nodeBits) rangeWord(w, lo, hi int) uint64 {
 	word := b[w]
 	base := w << 6
@@ -93,69 +93,38 @@ func (b nodeBits) rangeWord(w, lo, hi int) uint64 {
 }
 
 // activeSet is the dirty-tracking core of the incremental planner: a
-// double-buffered pair of node bitsets plus per-shard summary masks.
+// double-buffered pair of node bitsets.
 //
 // plan is the frozen set of nodes to re-plan this tick; it is read-only
-// during the planning fan-out and zeroed (retired) right after. pending
-// accumulates every node whose planning inputs changed since plan was
-// frozen; beginTick swaps the buffers. Every mutation site of the tick
-// pipeline marks into pending through the engine's markDirty helpers, and
-// nodes are always consumed in ascending id order within ascending shards —
-// the canonical activation order — so which worker performed a mutation can
-// never influence what gets planned or when.
+// during the planning fan-out. pending accumulates every node whose planning
+// inputs changed since plan was frozen; beginTick swaps the buffers and
+// clears the new pending one. Every mutation site of the tick pipeline marks
+// into pending through the engine's markDirty helpers, and nodes are always
+// consumed in ascending id order within ascending shards — the canonical
+// activation order — so which worker performed a mutation can never
+// influence what gets planned or when.
 type activeSet struct {
 	n       int
-	shardLo *[numShards + 1]int
-
 	plan    nodeBits
 	pending nodeBits
-
-	planMask    uint32        // shard summary of plan; single-threaded access
-	pendingMask atomic.Uint32 // shard summary of pending; mutators OR into it
 }
 
-func newActiveSet(n int, shardLo *[numShards + 1]int) *activeSet {
-	return &activeSet{
-		n:       n,
-		shardLo: shardLo,
-		plan:    newNodeBits(n),
-		pending: newNodeBits(n),
-	}
+func newActiveSet(n int) *activeSet {
+	return &activeSet{n: n, plan: newNodeBits(n), pending: newNodeBits(n)}
 }
 
-// mark schedules node v (owned by the given shard) for re-planning. Both
-// writes are idempotent ORs behind a read, so a node or shard already marked
-// costs two loads and no cache-line ownership transfer; the marking path
-// writes no shared counter (the cutover estimate counts pending bits between
-// ticks instead).
-func (a *activeSet) mark(v int, shard uint8) {
-	a.pending.set(v)
-	sbit := uint32(1) << shard
-	if a.pendingMask.Load()&sbit == 0 {
-		a.pendingMask.Or(sbit)
-	}
-}
+// mark schedules node v for re-planning: an idempotent OR behind a read, so
+// a node already marked costs one load and no cache-line ownership
+// transfer. The marking path writes no shared counter (the cutover estimate
+// counts pending bits between ticks instead).
+func (a *activeSet) mark(v int) { a.pending.set(v) }
 
-// beginTick freezes the accumulated marks as this tick's plan set. The
-// outgoing plan buffer was zeroed by retire, so the swap hands back an empty
-// pending buffer. Single-threaded (runs between phase fan-outs).
+// beginTick freezes the accumulated marks as this tick's plan set and
+// clears the last tick's consumed plan set to become the new pending buffer.
+// Single-threaded (runs between phase fan-outs).
 func (a *activeSet) beginTick() {
 	a.plan, a.pending = a.pending, a.plan
-	a.planMask = a.pendingMask.Swap(0)
-}
-
-// retire zeroes the consumed plan set. Only shards named in planMask can
-// hold bits (mark always sets the shard summary), so zeroing a boundary word
-// shared with an out-of-mask shard is safe: that shard's half is empty too.
-func (a *activeSet) retire() {
-	for k := 0; k < numShards; k++ {
-		if a.planMask&(1<<uint(k)) == 0 {
-			continue
-		}
-		lo, hi := a.shardLo[k]>>6, (a.shardLo[k+1]+63)>>6
-		clear(a.plan[lo:hi])
-	}
-	a.planMask = 0
+	clear(a.pending)
 }
 
 // activateAll schedules every node, so the first tick after construction
@@ -167,35 +136,6 @@ func (a *activeSet) activateAll() {
 	if r := uint(a.n) & 63; r != 0 {
 		a.pending[len(a.pending)-1] = 1<<r - 1
 	}
-	m := uint32(0)
-	for k := 0; k < numShards; k++ {
-		if a.shardLo[k] < a.shardLo[k+1] {
-			m |= 1 << uint(k)
-		}
-	}
-	a.pendingMask.Store(m)
-}
-
-// recomputePendingMask derives the per-shard summary mask from the pending
-// bits. Between ticks mark always sets both the bit and the shard summary and
-// nothing else clears pending, so the derived mask equals the accumulated
-// one — which is why the snapshot encodes only the bits and restore rebuilds
-// the mask. Single-threaded (restore path, between ticks).
-func (a *activeSet) recomputePendingMask() uint32 {
-	m := uint32(0)
-	for k := 0; k < numShards; k++ {
-		lo, hi := a.shardLo[k], a.shardLo[k+1]
-		if lo >= hi {
-			continue
-		}
-		for w := lo >> 6; w <= (hi-1)>>6; w++ {
-			if a.pending.rangeWord(w, lo, hi) != 0 {
-				m |= 1 << uint(k)
-				break
-			}
-		}
-	}
-	return m
 }
 
 // pendingCount returns how many nodes are scheduled for the next planning
@@ -214,7 +154,7 @@ func (a *activeSet) pendingCount() int {
 // flag is invisible to neighbours).
 func (e *Engine) markDirty(v int) {
 	if a := e.state.active; a != nil {
-		a.mark(v, e.state.nodeShard[v])
+		a.mark(v)
 	}
 }
 
@@ -227,9 +167,8 @@ func (e *Engine) markDirtyNeighborhood(v int) {
 	if a == nil {
 		return
 	}
-	s := e.state
-	a.mark(v, s.nodeShard[v])
-	for _, u := range s.g.Neighbors(v) {
-		a.mark(u, s.nodeShard[u])
+	a.mark(v)
+	for _, u := range e.state.g.Neighbors(v) {
+		a.mark(u)
 	}
 }

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -244,5 +247,70 @@ func TestActiveSetDisabledForGlobalPolicies(t *testing.T) {
 	}
 	if n := e.State().ActiveNodes(); n != 8 {
 		t.Fatalf("full-sweep ActiveNodes = %d, want N", n)
+	}
+}
+
+// recordingPolicy records every node it is asked to plan, in call order, and
+// plans nothing; it declares neighbourhood locality, so its engines run on
+// the active set.
+type recordingPolicy struct {
+	mu    sync.Mutex
+	nodes []int
+}
+
+func (*recordingPolicy) Name() string           { return "recording" }
+func (*recordingPolicy) PlanLocality() Locality { return LocalityNeighborhood }
+func (p *recordingPolicy) PlanNodeInto(v int, _ *State, _ *rng.RNG, out []Move) []Move {
+	p.mu.Lock()
+	p.nodes = append(p.nodes, v)
+	p.mu.Unlock()
+	return out
+}
+
+// TestActiveSetPlanWalk pins the planning walk over the frozen plan set on a
+// ring of 150 nodes, where 64-bit words straddle shard ranges: after the
+// engine drains, exactly the marked nodes are planned, once each, in
+// ascending order at Workers 1 and as the same set at Workers 4 — including
+// two nodes either side of a shard boundary inside one word and node N-1 in
+// the partial last word. The tick after, nothing is planned: beginTick must
+// clear the consumed plan set before reusing it for marks.
+func TestActiveSetPlanWalk(t *testing.T) {
+	const n = 150
+	marked := []int{0, 8, 9, 17, 18, 63, 64, 65, 127, 128, n - 1}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			p := &recordingPolicy{}
+			e, err := New(Config{Graph: topology.NewRing(n), Policy: p, Seed: 1,
+				Workers: workers, SerialCutover: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			s := e.state
+			if s.nodeShard[17] == s.nodeShard[18] || 17>>6 != 18>>6 {
+				t.Fatal("nodes 17 and 18 must share a word across a shard boundary")
+			}
+			e.Step() // plans every node once and marks none
+			if got := s.ActiveNodes(); got != 0 || len(p.nodes) != n {
+				t.Fatalf("first tick planned %d nodes and left %d active; want %d and 0", len(p.nodes), got, n)
+			}
+			p.nodes = nil
+			for _, v := range marked {
+				e.markDirty(v)
+			}
+			e.Step()
+			got := p.nodes
+			if workers > 1 {
+				got = slices.Sorted(slices.Values(got))
+			}
+			if !slices.Equal(got, marked) {
+				t.Fatalf("planned %v, want %v", p.nodes, marked)
+			}
+			p.nodes = nil
+			e.Step()
+			if len(p.nodes) != 0 {
+				t.Fatalf("the tick after planned %d nodes %v, want none", len(p.nodes), p.nodes)
+			}
+		})
 	}
 }

@@ -39,7 +39,7 @@ import (
 // bit-identical by construction (pinned by the harness twins).
 //
 // The caller goroutine doubles as the leader: it runs the serial sections
-// between phases (active-set swap, outbox-mask clears, the reduce) exactly
+// between phases (the active-set swap, the reduce) exactly
 // where the sequential engine would, publishes the next phase, and takes
 // part in the claiming loop. No phase state survives a tick, so snapshots —
 // which are only taken between ticks — never see barrier state (the

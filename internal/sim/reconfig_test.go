@@ -3,9 +3,11 @@ package sim
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"pplb/internal/linkmodel"
+	"pplb/internal/rng"
 	"pplb/internal/topology"
 )
 
@@ -320,5 +322,68 @@ func TestReconfigureSnapshotAcrossEpoch(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("restored engine diverged across the second epoch boundary")
+	}
+}
+
+// TestReconfigureRemapsSurvivingTransferEdges: a transfer whose link
+// survives a reconfiguration keeps flying under the new graph's canonical
+// edge id. Two latency-3 transfers are in flight on a 6-ring when a new link
+// {0,2} sorts in ahead of their edges and shifts both ids; afterwards every
+// record names its link's new id, exactly those links are busy, and each
+// link frees when its transfer lands.
+func TestReconfigureRemapsSurvivingTransferEdges(t *testing.T) {
+	const L = 3
+	g := topology.NewRing(6)
+	moves := policyFunc(func(v int, view *State, _ *rng.RNG) []Move {
+		if view.Tick() == 0 && (v == 2 || v == 4) {
+			return []Move{{TaskID: taskIDs(view, v)[0], From: v, To: v + 1, NewFlag: NaNFlag()}}
+		}
+		return nil
+	})
+	e, err := New(Config{Graph: g, Links: linkmodel.New(g, linkmodel.WithUniformLength(L)),
+		Policy: moves, Seed: 1, Initial: [][]float64{{}, {}, {1}, {}, {1}, {}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.Step()
+	s := e.state
+	if s.InFlight() != 2 {
+		t.Fatalf("%d transfers in flight after the first tick, want 2", s.InFlight())
+	}
+
+	d := topology.NewDynamic(g)
+	d.AddLink(0, 2)
+	ng, epoch := d.Commit()
+	rc := Reconfig{Graph: ng, Links: linkmodel.New(ng, linkmodel.WithUniformLength(L)), Epoch: epoch}
+	for _, p := range [][2]int{{2, 3}, {4, 5}} {
+		oldID, _ := g.EdgeID(p[0], p[1])
+		if newID, _ := ng.EdgeID(p[0], p[1]); newID == oldID {
+			t.Fatalf("link %v keeps id %d; the new link must shift it", p, oldID)
+		}
+	}
+	if err := e.Reconfigure(rc); err != nil {
+		t.Fatal(err)
+	}
+
+	held := make([]bool, ng.NumEdges())
+	for k := range s.shards {
+		for _, r := range s.shards[k].recs {
+			id, ok := rc.Graph.EdgeID(int(r.from), int(r.to))
+			if !ok || int(r.edge) != id {
+				t.Fatalf("transfer %d -> %d names edge %d, want the new graph's %d", r.from, r.to, r.edge, id)
+			}
+			held[id] = true
+		}
+	}
+	if s.InFlight() != 2 || !slices.Equal(s.linkBusy, held) {
+		t.Fatalf("%d transfers in flight, busy links %v; want 2 holding %v", s.InFlight(), s.linkBusy, held)
+	}
+	e.Run(L - 1)
+	if s.InFlight() != 0 || s.Queue(3).Len() != 1 || s.Queue(5).Len() != 1 {
+		t.Fatalf("%d transfers still in flight after %d ticks", s.InFlight(), L)
+	}
+	if slices.Contains(s.linkBusy, true) {
+		t.Fatalf("busy links %v after both transfers landed", s.linkBusy)
 	}
 }

@@ -233,9 +233,6 @@ func (s *State) ActiveNodes() int {
 	return s.active.pendingCount()
 }
 
-// View is another name for State, kept for code that still names it.
-type View = State
-
 // Loads returns the per-node resident loads.
 func (s *State) Loads() []float64 {
 	out := make([]float64, s.g.N())
@@ -480,18 +477,12 @@ type Engine struct {
 
 	movingNext []movingRec // scratch for rebuilding movingResident
 
-	// fanShards is the scratch list of shard ids behind the planning
-	// fan-out's subset of active shards.
-	fanShards []int
-
 	// Cached phase runners. These closures reference the engine (a plain
 	// internal cycle, which the tracing collector handles fine — the old
 	// SetFinalizer-era rule against self-references died with the migration
-	// to runtime.AddCleanup). runPlanFilterSub runs the i-th entry of
-	// fanShards instead of shard i, for the active-set planning fan-out.
+	// to runtime.AddCleanup).
 	runPlanFilter, runApply, runCommitMoves,
-	runAdvance, runCommitBounces, runService,
-	runPlanFilterSub func(int, *rng.RNG)
+	runAdvance, runCommitBounces, runService func(int, *rng.RNG)
 }
 
 // Close releases the engine's worker goroutines. It is safe to call more
@@ -565,9 +556,8 @@ func New(cfg Config) (*Engine, error) {
 	e.runApply = e.applyShard
 	e.runCommitMoves = e.commitMovesShard
 	e.runAdvance = e.advanceShard
-	e.runCommitBounces = e.commitBouncesShard
+	e.runCommitBounces = e.commitOutboxes
 	e.runService = e.serviceShard
-	e.runPlanFilterSub = func(i int, r *rng.RNG) { e.planFilterShard(e.fanShards[i], r) }
 	e.cutover = cfg.SerialCutover
 	switch {
 	case e.cutover == 0:
@@ -619,7 +609,7 @@ func (e *Engine) layout() {
 	e.loClaim = make([]bool, s.g.NumEdges())
 	s.active = nil
 	if usesActiveSet(e.cfg.Policy, e.cfg.FullSweep) {
-		s.active = newActiveSet(n, &s.shardLo)
+		s.active = newActiveSet(n)
 		s.active.activateAll()
 	}
 }
@@ -735,32 +725,20 @@ func (e *Engine) Step() {
 	//
 	// With the active set enabled, only dirty nodes are planned: the swap
 	// freezes everything marked since planning last began as this tick's
-	// plan set, and shards with no marks are not visited at all. A skipped
-	// node's inputs are unchanged, so by the locality contract its plan
-	// would come out the byte-for-byte empty plan it produced last time —
-	// skipping is exact, not approximate, which is what keeps this engine
-	// bit-identical to the full sweep (and Workers=1 to Workers=8: marks are
-	// made atomically from any worker, but consumed in ascending node order
+	// plan set, and each shard walks only its set bits. A skipped node's
+	// inputs are unchanged, so by the locality contract its plan would come
+	// out the byte-for-byte empty plan it produced last time — skipping is
+	// exact, not approximate, which is what keeps this engine bit-identical
+	// to the full sweep (and Workers=1 to Workers=8: marks are made
+	// atomically from any worker, but consumed in ascending node order
 	// within ascending shards, the canonical activation order).
 	if p, ok := e.cfg.Policy.(TickPreparer); ok {
 		p.PrepareTick(s)
 	}
 	if a := s.active; a != nil {
 		a.beginTick()
-		if a.planMask != 0 {
-			shards := e.fanShards[:0]
-			for k := 0; k < numShards; k++ {
-				if a.planMask&(1<<uint(k)) != 0 {
-					shards = append(shards, k)
-				}
-			}
-			e.fanShards = shards
-			e.fanOut(len(shards), e.runPlanFilterSub)
-			a.retire()
-		}
-	} else {
-		e.fanOut(numShards, e.runPlanFilter)
 	}
+	e.fanOut(numShards, e.runPlanFilter)
 
 	// 3b. Application: resolve cross-node link contention (lowest endpoint
 	// wins), turn winners into outbox records, and commit them to the
@@ -770,7 +748,6 @@ func (e *Engine) Step() {
 	if e.anyClaims() {
 		e.fanOut(numShards, e.runApply)
 		e.fanOut(numShards, e.runCommitMoves)
-		e.clearOutMasks()
 	}
 
 	// Tasks delivered with inertia on earlier ticks have now had their
@@ -789,7 +766,6 @@ func (e *Engine) Step() {
 		e.fanOut(numShards, e.runAdvance)
 		if e.outboxesPending() {
 			e.fanOut(numShards, e.runCommitBounces)
-			e.clearOutMasks()
 		}
 	}
 
@@ -900,7 +876,7 @@ func (e *Engine) planNode(v int, p *shardPart, r *rng.RNG, tickBase uint64) {
 		// state (busy flags, cross-node contention) outside the locality
 		// contract. This also keeps the Rejected counter identical to the
 		// full sweep's.
-		s.active.mark(v, s.nodeShard[v])
+		s.active.mark(v)
 	}
 	sortMovesByTask(moves)
 	kept := moves[:0]
@@ -950,19 +926,14 @@ func (e *Engine) anyClaims() bool {
 // outboxesPending reports whether any shard produced outbox records in the
 // phase that just completed.
 func (e *Engine) outboxesPending() bool {
-	m := uint32(0)
 	for k := range e.parts {
-		m |= e.parts[k].outMask
+		for j := range e.parts[k].out {
+			if len(e.parts[k].out[j]) > 0 {
+				return true
+			}
+		}
 	}
-	return m != 0
-}
-
-// clearOutMasks resets the outbox occupancy masks after a commit phase has
-// drained every slot. Runs between fan-outs, single-threaded.
-func (e *Engine) clearOutMasks() {
-	for k := range e.parts {
-		e.parts[k].outMask = 0
-	}
+	return false
 }
 
 // applyShard applies the shard's surviving claims in planning order
@@ -997,7 +968,6 @@ func (e *Engine) applyShard(k int, _ *rng.RNG) {
 		s.linkBusy[eid] = true // sole winner of this link writes it
 		st.SetMovedTick(h, s.tick)
 		dst := s.nodeShard[m.To]
-		p.outMask |= 1 << dst
 		p.out[dst] = append(p.out[dst], transferRec{
 			task:      h,
 			from:      int32(v),
@@ -1010,27 +980,24 @@ func (e *Engine) applyShard(k int, _ *rng.RNG) {
 }
 
 // commitOutboxes drains every shard's outbox slot for shard j, in ascending
-// source-shard order, into j's transfer store. The occupancy masks keep the
-// all-pairs scan to 16 hot words instead of 256 scattered slice headers.
-func (e *Engine) commitOutboxes(j int) {
-	s := e.state
-	sh := &s.shards[j]
-	bit := uint32(1) << j
-	for k := 0; k < numShards; k++ {
-		if e.parts[k].outMask&bit == 0 {
-			continue
+// source-shard order, into j's transfer store. It is also the commit phase
+// for the transfers that faulted during advancement and are returning
+// towards senders owned by shard j.
+func (e *Engine) commitOutboxes(j int, _ *rng.RNG) {
+	sh := &e.state.shards[j]
+	for k := range e.parts {
+		if out := e.parts[k].out[j]; len(out) > 0 {
+			sh.recs = append(sh.recs, out...)
+			e.parts[k].out[j] = out[:0]
 		}
-		out := e.parts[k].out[j]
-		sh.recs = append(sh.recs, out...)
-		e.parts[k].out[j] = out[:0]
 	}
 }
 
 // commitMovesShard commits the freshly applied transfers destined to shard
 // j's nodes, clears the link claims j's nodes made as lower endpoints and
 // empties j's plan buffers for the next tick.
-func (e *Engine) commitMovesShard(j int, _ *rng.RNG) {
-	e.commitOutboxes(j)
+func (e *Engine) commitMovesShard(j int, r *rng.RNG) {
+	e.commitOutboxes(j, r)
 	p := &e.parts[j]
 	for i := range p.moves {
 		if p.moves[i].To > p.moves[i].From {
@@ -1039,12 +1006,6 @@ func (e *Engine) commitMovesShard(j int, _ *rng.RNG) {
 	}
 	p.moves = p.moves[:0]
 	p.eids = p.eids[:0]
-}
-
-// commitBouncesShard commits the transfers that faulted during advancement
-// and are returning towards senders owned by shard j.
-func (e *Engine) commitBouncesShard(j int, _ *rng.RNG) {
-	e.commitOutboxes(j)
 }
 
 // advanceShard decrements the remaining latency of shard k's transfers and
@@ -1080,7 +1041,6 @@ func (e *Engine) advanceShard(k int, r *rng.RNG) {
 					p.counters.Faults++
 					p.counters.BouncedTraffic += load * cost
 					dst := s.nodeShard[t.from]
-					p.outMask |= 1 << dst
 					p.out[dst] = append(p.out[dst], transferRec{
 						task:      h,
 						from:      t.to,

@@ -9,14 +9,15 @@
 // of execution history details that do not affect future behaviour — so equal
 // snapshots mean equal states and the byte slice doubles as a state hash
 // (the harness's snapshot twin compares snapshots directly). The active set
-// serializes only the pending bits; the per-shard summary mask is derived on
-// restore (between ticks the two are redundant). The in-flight section holds
-// only derived data: the canonical InFlightLoad sum and an always-empty
-// per-node list. Restore checks its structure and ignores its values, so no
+// serializes its pending bits; the plan buffer is dead between ticks (the
+// next beginTick clears it before reuse). The in-flight section holds only
+// derived data: the canonical InFlightLoad sum and an always-empty per-node
+// list. Restore checks its structure and ignores its values, so no
 // in-flight state is ever taken from outside the program. The link-busy
 // flags are rebuilt from the transfers the same way: a link is busy exactly
 // while one transfer holds it, each transfer must name the edge between its
-// endpoints, and the encoded flags must match.
+// endpoints, and the encoded flags must match. Each inertia record must name
+// a released slot or a task resident at the record's node.
 //
 // Everything else is exact: the arena's slot lanes and free-list order (the
 // free-list determines every future handle assignment), cached queue totals
@@ -315,7 +316,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 		w.u32(uint32(mr.node))
 	}
 
-	// Active set: pending bits only; the shard mask is derived on restore.
+	// Active set: the pending bits.
 	if s.active != nil {
 		w.u64(uint64(len(s.active.pending)))
 		for _, word := range s.active.pending {
@@ -627,7 +628,10 @@ func (e *Engine) restoreBody(r *snapReader) error {
 		prev = v
 	}
 
-	// Inertia records.
+	// Inertia records. A record's slot is either released since delivery
+	// (the settle pass skips it by id) or still holds the record's task,
+	// resident at the record's node: the settle pass re-activates that node,
+	// so a record naming another node would plan the wrong one.
 	mrn := r.count(16)
 	s.movingResident = make([]movingRec, 0, mrn)
 	for i := 0; i < mrn; i++ {
@@ -643,11 +647,16 @@ func (e *Engine) restoreBody(r *snapReader) error {
 			r.fail("inertia record %d out of range (handle %d, node %d)", i, mr.h, mr.node)
 			return r.err
 		}
+		if st.Alive(mr.h) && (st.ID(mr.h) != mr.id || st.Node(mr.h) != int(mr.node)) {
+			r.fail("inertia record %d names task %d at node %d, but handle %d holds task %d at node %d",
+				i, mr.id, mr.node, mr.h, st.ID(mr.h), st.Node(mr.h))
+			return r.err
+		}
 		s.movingResident = append(s.movingResident, mr)
 	}
 
 	// Active set: overwrite the activateAll state New installed with the
-	// snapshot's pending bits and re-derive the shard mask.
+	// snapshot's pending bits.
 	if a := s.active; a != nil {
 		wn := r.count(8)
 		if r.err == nil && wn != len(a.pending) {
@@ -661,10 +670,6 @@ func (e *Engine) restoreBody(r *snapReader) error {
 				r.fail("active set has bits beyond node %d", n-1)
 			}
 		}
-		if r.err != nil {
-			return r.err
-		}
-		a.pendingMask.Store(a.recomputePendingMask())
 	}
 
 	if r.err != nil {

@@ -7,12 +7,14 @@ import (
 	"testing"
 
 	"pplb/internal/linkmodel"
+	"pplb/internal/taskmodel"
 	"pplb/internal/topology"
 )
 
 // fuzzRestoreConfig builds the fixed post-churn system FuzzRestore decodes
 // against: a 4x4 torus that lost node 3 and gained node 16, latency-3 links
-// so snapshots carry in-flight transfers, and an active-set policy.
+// so snapshots carry in-flight transfers, and an active-set policy that
+// delivers with inertia, so they carry inertia records too.
 func fuzzRestoreConfig() (Config, Reconfig) {
 	g0 := topology.NewTorus(4, 4)
 	d := topology.NewDynamic(g0)
@@ -30,7 +32,7 @@ func fuzzRestoreConfig() (Config, Reconfig) {
 	cfg := Config{
 		Graph:       rc.Graph,
 		Links:       rc.Links,
-		Policy:      localGreedy{},
+		Policy:      localSlide{},
 		Seed:        9,
 		ServiceRate: 0.05,
 	}
@@ -105,22 +107,25 @@ func linkStateEdits(tb testing.TB) (snap []byte, edits []snapEdit) {
 		tb.Fatal("every link is busy")
 	}
 
-	// The first transfer's record, found by its leading 20 bytes; its edge
-	// field sits at offset 12.
+	// The first transfer's record: the shard sections end where the
+	// in-flight section starts, each is a count and 22-byte records, and
+	// the edge field sits at offset 12 of a record.
+	recAt := inflightAt(e, snap)
+	for k := range s.shards {
+		recAt -= 8 + 22*len(s.shards[k].recs)
+	}
 	var t transferRec
 	for k := range s.shards {
+		recAt += 8
 		if len(s.shards[k].recs) > 0 {
 			t = s.shards[k].recs[0]
 			break
 		}
 	}
-	rec := binary.LittleEndian.AppendUint32(nil, uint32(t.task))
-	for _, f := range []int32{t.from, t.to, t.edge, t.remaining} {
-		rec = binary.LittleEndian.AppendUint32(rec, uint32(f))
-	}
-	recAt := bytes.Index(snap, rec)
-	if recAt < 0 || bytes.Index(snap[recAt+1:], rec) >= 0 {
-		tb.Fatal("first transfer record is not found exactly once")
+	for i, f := range []int32{int32(t.task), t.from, t.to, t.edge, t.remaining} {
+		if int32(binary.LittleEndian.Uint32(snap[recAt+4*i:])) != f {
+			tb.Fatal("first transfer record not where expected")
+		}
 	}
 
 	busyFree := append([]byte(nil), snap...)
@@ -135,14 +140,80 @@ func linkStateEdits(tb testing.TB) (snap []byte, edits []snapEdit) {
 	}
 }
 
+// inertiaEdits returns a snapshot of fuzzRestoreConfig's system holding a
+// live inertia record and two hand edits of that record which only the
+// inertia cross-check catches: its node moved to another live node, and its
+// id changed to another live task's. Either way the settle pass would
+// re-activate a node whose plan inputs did not change (or skip one whose
+// did), and the active-set engine would drift from a full sweep.
+func inertiaEdits(tb testing.TB) (snap []byte, edits []snapEdit) {
+	tb.Helper()
+	e := fuzzRestoreEngine(tb)
+	defer e.Close()
+	s, st := e.state, e.state.tasks
+	live := -1
+	for tick := 0; live < 0; tick++ {
+		if tick == 50 {
+			tb.Fatal("no live inertia record in 50 ticks")
+		}
+		e.Step()
+		for i, mr := range s.movingResident {
+			if st.ID(mr.h) == mr.id {
+				live = i
+				break
+			}
+		}
+	}
+	var err error
+	if snap, err = e.Snapshot(); err != nil {
+		tb.Fatal(err)
+	}
+
+	// The records follow the 16-byte in-flight section and their count;
+	// each is a handle, an id and a node (4+8+4 bytes).
+	mr := s.movingResident[live]
+	at := inflightAt(e, snap) + 16 + 8 + 16*live
+	if binary.LittleEndian.Uint32(snap[at:]) != uint32(mr.h) ||
+		binary.LittleEndian.Uint64(snap[at+4:]) != uint64(mr.id) ||
+		binary.LittleEndian.Uint32(snap[at+12:]) != uint32(mr.node) {
+		tb.Fatal("inertia record not where expected")
+	}
+	other := -1
+	for v := range s.g.N() {
+		if v != int(mr.node) && s.nodeAlive(v) {
+			other = v
+			break
+		}
+	}
+	var otherID int64 = -1
+	for h := range st.Cap() {
+		if id := st.ID(taskmodel.Handle(h)); id >= 0 && id != mr.id {
+			otherID = int64(id)
+			break
+		}
+	}
+	if otherID < 0 {
+		tb.Fatal("no second live task")
+	}
+	wrongNode := append([]byte(nil), snap...)
+	binary.LittleEndian.PutUint32(wrongNode[at+12:], uint32(other))
+	wrongID := append([]byte(nil), snap...)
+	binary.LittleEndian.PutUint64(wrongID[at+4:], uint64(otherID))
+	return snap, []snapEdit{
+		{"inertia record on another node", "inertia record", wrongNode},
+		{"inertia record for another task", "inertia record", wrongID},
+	}
+}
+
 // FuzzRestore feeds mutated snapshot bytes through Restore: any input must
 // either produce a working engine (stepped once to shake out latent decode
 // corruption) or a descriptive error — never a panic or a hostile-length
 // allocation. The seed corpus holds real snapshots of the matching system
 // (several ticks, so free-list recycling, transfers and inertia records are
 // all populated), one snapshot from a mismatched epoch, hand-truncated
-// variants and the link-state edits; `go test` runs the corpus as part of
-// the merge gate and the nightly job mutates from there.
+// variants, the link-state edits and the inertia-record edits; `go test`
+// runs the corpus as part of the merge gate and the nightly job mutates from
+// there.
 func FuzzRestore(f *testing.F) {
 	cfg, _ := fuzzRestoreConfig()
 
@@ -166,8 +237,9 @@ func FuzzRestore(f *testing.F) {
 		}
 	}
 	e.Close()
-	_, edits := linkStateEdits(f)
-	for _, ed := range edits {
+	_, linkEdits := linkStateEdits(f)
+	_, inertia := inertiaEdits(f)
+	for _, ed := range append(linkEdits, inertia...) {
 		f.Add(ed.snap)
 	}
 
@@ -209,14 +281,28 @@ func FuzzRestore(f *testing.F) {
 // flag on a free link would otherwise block that link for good, and a
 // transfer naming the wrong edge would free the wrong link on delivery.
 func TestSnapshotRestoreChecksLinkState(t *testing.T) {
+	expectRejected(t, linkStateEdits)
+}
+
+// Restore rejects an inertia record whose slot holds its task elsewhere or
+// holds another task: the settle pass trusts the record's node.
+func TestSnapshotRestoreChecksInertiaRecords(t *testing.T) {
+	expectRejected(t, inertiaEdits)
+}
+
+// expectRejected restores the unedited snapshot edits returns, which must
+// succeed, and each edited one, which must fail with an error naming the
+// edit's fragment.
+func expectRejected(t *testing.T, edits func(testing.TB) ([]byte, []snapEdit)) {
+	t.Helper()
 	cfg, _ := fuzzRestoreConfig()
-	snap, edits := linkStateEdits(t)
+	snap, eds := edits(t)
 	e, err := Restore(snap, cfg)
 	if err != nil {
 		t.Fatalf("unedited snapshot: %v", err)
 	}
 	e.Close()
-	for _, ed := range edits {
+	for _, ed := range eds {
 		e, err := Restore(ed.snap, cfg)
 		if err == nil {
 			e.Close()

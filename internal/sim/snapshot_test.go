@@ -244,6 +244,18 @@ func TestSnapshotFreeListOrderPreserved(t *testing.T) {
 	}
 }
 
+// inflightAt returns the offset of the in-flight section (the load sum and
+// the per-node list count) in e's snapshot snap: it sits just before the
+// inertia records and the active-set words.
+func inflightAt(e *Engine, snap []byte) int {
+	s := e.State()
+	tail := 8 + 16*len(s.movingResident)
+	if s.active != nil {
+		tail += 8 + 8*len(s.active.pending)
+	}
+	return len(snap) - tail - 16
+}
+
 // visitInFlightSum sums the load of every transfer in VisitTransfers order.
 func visitInFlightSum(s *State) float64 {
 	sum := 0.0
@@ -258,11 +270,7 @@ func visitInFlightSum(s *State) float64 {
 func withLegacyInflightList(t *testing.T, e *Engine, snap []byte) []byte {
 	t.Helper()
 	s := e.State()
-	tail := 8 + 16*len(s.movingResident)
-	if s.active != nil {
-		tail += 8 + 8*len(s.active.pending)
-	}
-	off := len(snap) - tail - 16
+	off := inflightAt(e, snap)
 	if math.Float64frombits(binary.LittleEndian.Uint64(snap[off:])) != s.InFlightLoad() ||
 		binary.LittleEndian.Uint64(snap[off+8:]) != 0 {
 		t.Fatal("in-flight section not where expected")

@@ -61,7 +61,6 @@ type movingRec struct {
 // matter which worker ran which shard.
 type shardPartData struct {
 	out      [numShards][]transferRec
-	outMask  uint32 // bit j set when out[j] is non-empty (numShards <= 32)
 	counters Counters
 	moving   []movingRec        // delivered with inertia this tick
 	done     []taskmodel.Handle // completed by service this tick

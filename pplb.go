@@ -70,7 +70,7 @@ type (
 	// mutate it.
 	State = sim.State
 	// View is another name for State, kept for code that still names it.
-	View = sim.View
+	View = sim.State
 	// Arrival is one dynamic task injection.
 	Arrival = sim.Arrival
 	// ArrivalFunc generates dynamic workload.
