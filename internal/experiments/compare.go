@@ -70,10 +70,9 @@ func BaselineComparison(size Size) *Report {
 			init := d.init(g.N())
 			finals := map[string]float64{}
 			for _, p := range policySet(g) {
-				rr := run(runSpec{
-					graph: g, policy: p, initial: init,
-					seed: 9, ticks: ticks, every: 10,
-				}, simConfig(nil, nil))
+				rr := run(sim.Config{
+					Graph: g, Policy: p, Initial: init, Seed: 9,
+				}, ticks, 10)
 				conv := "-"
 				if tk, ok := rr.col.ConvergenceTick(0.2); ok {
 					conv = ascii.FormatFloat(tk)
@@ -145,10 +144,9 @@ func FaultTolerance(size Size) *Report {
 			baselines.Diffusion{},
 		}
 		for _, pol := range pols {
-			rr := run(runSpec{
-				graph: g, links: links, policy: pol, initial: init,
-				seed: 13, ticks: ticks, every: 25,
-			}, simConfig(nil, nil))
+			rr := run(sim.Config{
+				Graph: g, Links: links, Policy: pol, Initial: init, Seed: 13,
+			}, ticks, 25)
 			c := rr.state.Counters()
 			name := pol.Name()
 			if pol != pols[0] && name == "pplb" {
@@ -214,10 +212,9 @@ func DependencyAffinity(size Size) *Report {
 	for _, w := range weights {
 		tg := workload.ClusteredDeps(init, 4, w)
 		for _, pol := range []sim.Policy{core.New(core.DefaultConfig()), baselines.Diffusion{}} {
-			rr := run(runSpec{
-				graph: g, policy: pol, initial: init,
-				seed: 17, ticks: ticks, every: 25,
-			}, simConfig(nil, tg))
+			rr := run(sim.Config{
+				Graph: g, Policy: pol, Initial: init, Seed: 17, TaskGraph: tg,
+			}, ticks, 25)
 			c := rr.state.Counters()
 			tb.AddRow(w, pol.Name(), c.Migrations, rr.col.FinalCV(), meanHops(rr.state))
 			if pol.Name() == "pplb" {

@@ -7,6 +7,7 @@ import (
 	"pplb/internal/arbiter"
 	"pplb/internal/ascii"
 	"pplb/internal/core"
+	"pplb/internal/sim"
 	"pplb/internal/topology"
 	"pplb/internal/workload"
 )
@@ -63,10 +64,9 @@ func Thm2Convergence(size Size) *Report {
 	for _, sc := range scenarios {
 		for _, d := range dists {
 			init := d.init(sc.g.N())
-			rr := run(runSpec{
-				graph: sc.g, policy: defaultPPLB(), initial: init,
-				seed: 5, ticks: ticks, every: 5,
-			}, simConfig(nil, nil))
+			rr := run(sim.Config{
+				Graph: sc.g, Policy: defaultPPLB(), Initial: init, Seed: 5,
+			}, ticks, 5)
 			convTick := "-"
 			if tk, ok := rr.col.ConvergenceTick(0.2); ok {
 				convTick = ascii.FormatFloat(tk)
@@ -110,10 +110,10 @@ func Thm2Convergence(size Size) *Report {
 	// Monotone-trend check on one representative run: the imbalance at the
 	// end of each quarter must not exceed the quarter before it.
 	g := topology.NewTorus(4, 4)
-	rr := run(runSpec{
-		graph: g, policy: defaultPPLB(), initial: workload.Hotspot(16, 0, 128, taskSize),
-		seed: 5, ticks: ticks, every: 1,
-	}, simConfig(nil, nil))
+	rr := run(sim.Config{
+		Graph: g, Policy: defaultPPLB(), Initial: workload.Hotspot(16, 0, 128, taskSize),
+		Seed: 5,
+	}, ticks, 1)
 	q := len(rr.col.CV) / 4
 	trendOK := q > 0
 	for k := 1; k < 4 && trendOK; k++ {
@@ -177,10 +177,9 @@ func Annealing(size Size) *Report {
 		default:
 			cfg.Arbiter = arbiter.Stochastic{Beta0: rc.p0, C: rc.c, TMax: rc.tmax}
 		}
-		rr := run(runSpec{
-			graph: g, policy: core.New(cfg), initial: init,
-			seed: 21, ticks: ticks, every: 10,
-		}, simConfig(nil, nil))
+		rr := run(sim.Config{
+			Graph: g, Policy: core.New(cfg), Initial: init, Seed: 21,
+		}, ticks, 10)
 		conv := "-"
 		if tk, ok := rr.col.ConvergenceTick(0.2); ok {
 			conv = ascii.FormatFloat(tk)

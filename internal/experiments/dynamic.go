@@ -42,11 +42,9 @@ func DynamicArrivals(size Size) *Report {
 	completed := map[string]float64{}
 	meanResp := map[string]float64{}
 	for _, p := range policySet(g) {
-		rr := run(runSpec{
-			graph: g, policy: p, initial: nil,
-			seed: 31, ticks: ticks, every: 50,
-			service: service, arrivals: arrivals,
-		}, simConfig(nil, nil))
+		rr := run(sim.Config{
+			Graph: g, Policy: p, Seed: 31, ServiceRate: service, Arrivals: arrivals,
+		}, ticks, 50)
 		rt := rr.state.ResponseTimes()
 		backlog := rr.state.TotalLoad()
 		tb.AddRow(p.Name(), rt.N(), backlog, rt.Mean(), rt.Mean()+rt.StdDev(),
@@ -187,10 +185,9 @@ func Ablations(size Size) *Report {
 		migs                 int64
 	}{}
 	for i, p := range pols {
-		rr := run(runSpec{
-			graph: g, links: links, policy: p, initial: init,
-			seed: 41, ticks: ticks, every: 25,
-		}, simConfig(nil, nil))
+		rr := run(sim.Config{
+			Graph: g, Links: links, Policy: p, Initial: init, Seed: 41,
+		}, ticks, 25)
 		c := rr.state.Counters()
 		tb.AddRow(names[i], rr.col.FinalCV(), c.Migrations, c.Traffic, c.BouncedTraffic,
 			meanHops(rr.state), c.Rejected)

@@ -13,12 +13,10 @@ import (
 
 	"pplb/internal/ascii"
 	"pplb/internal/core"
-	"pplb/internal/linkmodel"
 	"pplb/internal/metrics"
 	"pplb/internal/sim"
 	"pplb/internal/stats"
 	"pplb/internal/taskmodel"
-	"pplb/internal/topology"
 )
 
 // Size selects the scale of an experiment: Small for benchmarks and CI,
@@ -165,25 +163,6 @@ func RunAll(size Size) []*Report {
 
 // ---- shared simulation helpers ----
 
-// runSpec bundles one simulation run's configuration.
-type runSpec struct {
-	graph    *topology.Graph
-	links    *linkmodel.Params
-	policy   sim.Policy
-	initial  [][]float64
-	seed     uint64
-	ticks    int
-	service  float64
-	arrivals sim.ArrivalFunc
-	workers  int
-	every    int
-}
-
-// simConfig carries the optional dependency matrices into a run.
-func simConfig(res *taskmodel.Resources, tg *taskmodel.Graph) sim.Config {
-	return sim.Config{Resources: res, TaskGraph: tg}
-}
-
 // runResult is what an experiment needs back from a run.
 type runResult struct {
 	col   *metrics.Collector
@@ -191,27 +170,16 @@ type runResult struct {
 	cv0   float64
 }
 
-func run(spec runSpec, cfg sim.Config) runResult {
-	every := spec.every
-	if every <= 0 {
-		every = 1
-	}
+// run simulates cfg for ticks ticks, sampling metrics every every ticks.
+func run(cfg sim.Config, ticks, every int) runResult {
 	col := metrics.NewCollector(every)
-	cfg.Graph = spec.graph
-	cfg.Links = spec.links
-	cfg.Policy = spec.policy
-	cfg.Seed = spec.seed
-	cfg.Initial = spec.initial
-	cfg.ServiceRate = spec.service
-	cfg.Arrivals = spec.arrivals
-	cfg.Workers = spec.workers
 	cfg.OnTick = col.OnTick
 	e, err := sim.New(cfg)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: bad run spec: %v", err))
+		panic(fmt.Sprintf("experiments: bad run config: %v", err))
 	}
 	cv0 := stats.CV(e.State().Loads())
-	e.Run(spec.ticks)
+	e.Run(ticks)
 	return runResult{col: col, state: e.State(), cv0: cv0}
 }
 

@@ -88,11 +88,10 @@ func StaticVsDynamic(size Size) *Report {
 	}
 	results := map[string]res{}
 	for _, pol := range []sim.Policy{baselines.None{}, core.New(core.DefaultConfig())} {
-		rrun := run(runSpec{
-			graph: g, policy: pol, initial: init,
-			seed: 23, ticks: ticks, every: 25,
-			service: 1, arrivals: shift,
-		}, simConfig(nil, tg))
+		rrun := run(sim.Config{
+			Graph: g, Policy: pol, Initial: init, Seed: 23, ServiceRate: 1,
+			Arrivals: shift, TaskGraph: tg,
+		}, ticks, 25)
 		st := rrun.state
 		t2.AddRow(pol.Name(), rrun.col.FinalCV(), st.TotalLoad(),
 			st.Counters().TasksCompleted, st.Counters().Migrations)

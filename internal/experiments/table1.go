@@ -5,6 +5,7 @@ import (
 	"pplb/internal/ascii"
 	"pplb/internal/core"
 	"pplb/internal/linkmodel"
+	"pplb/internal/sim"
 	"pplb/internal/topology"
 	"pplb/internal/workload"
 )
@@ -44,10 +45,10 @@ func Table1Sensitivity(size Size) *Report {
 	var musMigs []float64
 	for _, w := range []float64{0, peak / 8, peak / 4, peak / 2, 2 * peak} {
 		res := workload.PinnedResources(baseInit, 1.0, w, 1)
-		rr := run(runSpec{
-			graph: g, policy: core.New(core.DefaultConfig()), initial: baseInit,
-			seed: 11, ticks: ticks, every: 50,
-		}, simConfig(res, nil))
+		rr := run(sim.Config{
+			Graph: g, Policy: core.New(core.DefaultConfig()), Initial: baseInit, Seed: 11,
+			Resources: res,
+		}, ticks, 50)
 		musTable.AddRow(w, rr.state.Counters().Migrations, rr.col.FinalCV())
 		musMigs = append(musMigs, float64(rr.state.Counters().Migrations))
 	}
@@ -62,10 +63,9 @@ func Table1Sensitivity(size Size) *Report {
 	for _, ck := range []float64{0.01, 0.1, 0.5, 2, 8} {
 		cfg := core.DefaultConfig()
 		cfg.Ck0 = ck
-		rr := run(runSpec{
-			graph: g, policy: core.New(cfg), initial: baseInit,
-			seed: 11, ticks: ticks, every: 50,
-		}, simConfig(nil, nil))
+		rr := run(sim.Config{
+			Graph: g, Policy: core.New(cfg), Initial: baseInit, Seed: 11,
+		}, ticks, 50)
 		h := meanHops(rr.state)
 		mukTable.AddRow(ck, h, rr.state.Counters().Migrations, rr.col.FinalCV())
 		hops = append(hops, h)
@@ -82,10 +82,9 @@ func Table1Sensitivity(size Size) *Report {
 	for _, m := range []float64{0.25, 0.5, 1, 2, 4} {
 		count := int(total / m)
 		init := workload.Hotspot(n, 0, count, m)
-		rr := run(runSpec{
-			graph: g, policy: core.New(core.DefaultConfig()), initial: init,
-			seed: 11, ticks: ticks, every: 50,
-		}, simConfig(nil, nil))
+		rr := run(sim.Config{
+			Graph: g, Policy: core.New(core.DefaultConfig()), Initial: init, Seed: 11,
+		}, ticks, 50)
 		loads := rr.state.Loads()
 		massTable.AddRow(m, count, rr.col.FinalCV(), maxMin(loads))
 		cvs = append(cvs, rr.col.FinalCV())
@@ -102,10 +101,10 @@ func Table1Sensitivity(size Size) *Report {
 	var migs []float64
 	for _, d := range []float64{1, 2, 4} {
 		links := linkmodel.New(g, linkmodel.WithUniformLength(d))
-		rr := run(runSpec{
-			graph: g, links: links, policy: core.New(core.DefaultConfig()), initial: baseInit,
-			seed: 11, ticks: ticks, every: 50,
-		}, simConfig(nil, nil))
+		rr := run(sim.Config{
+			Graph: g, Links: links, Policy: core.New(core.DefaultConfig()),
+			Initial: baseInit, Seed: 11,
+		}, ticks, 50)
 		c := rr.state.Counters()
 		ratio := 0.0
 		if c.Migrations > 0 {
@@ -134,10 +133,9 @@ func Table1Sensitivity(size Size) *Report {
 		}
 		cfg := core.DefaultConfig()
 		cfg.Arbiter = ch
-		rr := run(runSpec{
-			graph: g, policy: core.New(cfg), initial: baseInit,
-			seed: 11, ticks: ticks, every: 50,
-		}, simConfig(nil, nil))
+		rr := run(sim.Config{
+			Graph: g, Policy: core.New(cfg), Initial: baseInit, Seed: 11,
+		}, ticks, 50)
 		betaTable.AddRow(b0, rr.col.FinalCV(), rr.state.Counters().Migrations)
 	}
 	r.Tables = append(r.Tables, betaTable)

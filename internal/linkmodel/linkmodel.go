@@ -27,10 +27,11 @@ type Params struct {
 	g *topology.Graph
 	// Per-edge values, indexed by canonical edge index.
 	bw, d, f []float64
-	// Derived per-edge values, precomputed at construction so the planning
-	// hot path reads a slice instead of recomputing pow/round per candidate.
-	cost, costObl, failProb []float64
-	latency                 []int
+	// Derived per-edge values that need math.Pow, precomputed at
+	// construction so the planning hot path reads a slice instead of
+	// recomputing pow per candidate. CostOblivious and Latency are one
+	// division away from bw and d, so they are computed where they are read.
+	cost, failProb []float64
 	// costScale is the proportionality constant folded into Cost; cFault is
 	// the c in the (1-f)^(c·d/bw) reliability exponent. Unexported: Params
 	// is immutable after New, and the derived tables above snapshot these —
@@ -166,25 +167,18 @@ func New(g *topology.Graph, opts ...Option) *Params {
 	return p
 }
 
-// precompute derives the per-edge cost, latency and failure-probability
-// tables. Params is immutable after New, so these never go stale.
+// precompute derives the per-edge cost and failure-probability tables, the
+// two derived values that need math.Pow. Params is immutable after New, so
+// these never go stale.
 func (p *Params) precompute() {
 	n := len(p.bw)
 	p.cost = make([]float64, n)
-	p.costObl = make([]float64, n)
 	p.failProb = make([]float64, n)
-	p.latency = make([]int, n)
 	for i := 0; i < n; i++ {
 		base := p.d[i] / p.bw[i]
 		rel := math.Pow(1-p.f[i], p.cFault*base)
 		p.cost[i] = p.costScale * base / rel
-		p.costObl[i] = p.costScale * base
-		lat := int(math.Round(base))
-		if lat < 1 {
-			lat = 1
-		}
-		p.latency[i] = lat
-		p.failProb[i] = 1 - math.Pow(1-p.f[i], float64(lat))
+		p.failProb[i] = 1 - math.Pow(1-p.f[i], float64(p.LatencyByEdge(i)))
 	}
 }
 
@@ -238,18 +232,18 @@ func (p *Params) CostByEdge(id int) float64 { return p.cost[id] }
 // CostOblivious returns the link weight a fault-unaware balancer sees: the
 // same formula with the reliability factor dropped. The fault-awareness
 // ablation (E12) compares Cost vs CostOblivious.
-func (p *Params) CostOblivious(u, v int) float64 { return p.costObl[p.edgeIdx(u, v)] }
+func (p *Params) CostOblivious(u, v int) float64 { return p.CostObliviousByEdge(p.edgeIdx(u, v)) }
 
 // CostObliviousByEdge returns CostOblivious by canonical edge id.
-func (p *Params) CostObliviousByEdge(id int) float64 { return p.costObl[id] }
+func (p *Params) CostObliviousByEdge(id int) float64 { return p.costScale * (p.d[id] / p.bw[id]) }
 
 // Latency returns the integral number of ticks a transfer of one task
 // occupies the link: max(1, round(d/bw)). Fault risk does not slow a
 // transfer, it only threatens it, so latency uses the oblivious base cost.
-func (p *Params) Latency(u, v int) int { return p.latency[p.edgeIdx(u, v)] }
+func (p *Params) Latency(u, v int) int { return p.LatencyByEdge(p.edgeIdx(u, v)) }
 
 // LatencyByEdge returns Latency by canonical edge id.
-func (p *Params) LatencyByEdge(id int) int { return p.latency[id] }
+func (p *Params) LatencyByEdge(id int) int { return max(1, int(math.Round(p.d[id]/p.bw[id]))) }
 
 // DeliveryFailureProb returns the probability that a transfer occupying the
 // link for Latency ticks hits at least one fault: 1-(1-f)^latency.

@@ -274,3 +274,29 @@ func TestByEdgeAccessorsMatch(t *testing.T) {
 		}
 	}
 }
+
+// Latency is max(1, round(d/bw)), rounding halves away from zero, and the
+// failure probability compounds over exactly that many ticks.
+func TestLatencyRoundingBoundaries(t *testing.T) {
+	g := topology.NewRing(4)
+	ratios := []float64{0.4, 1.49, 1.5, 2.5}
+	want := []int{1, 1, 2, 3}
+	p := New(g,
+		WithLengthFn(func(u, v int) float64 {
+			id, _ := g.EdgeID(u, v)
+			return ratios[id]
+		}),
+		WithUniformFault(0.1),
+	)
+	for id, e := range g.Edges() {
+		if got := p.LatencyByEdge(id); got != want[id] {
+			t.Errorf("d/bw = %v: LatencyByEdge = %d, want %d", ratios[id], got, want[id])
+		}
+		if got := p.Latency(e.U, e.V); got != want[id] {
+			t.Errorf("d/bw = %v: Latency = %d, want %d", ratios[id], got, want[id])
+		}
+		if got, fp := p.DeliveryFailureProbByEdge(id), 1-math.Pow(0.9, float64(want[id])); got != fp {
+			t.Errorf("d/bw = %v: failure probability %v, want %v", ratios[id], got, fp)
+		}
+	}
+}

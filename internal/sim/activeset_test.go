@@ -287,7 +287,7 @@ func TestActiveSetPlanWalk(t *testing.T) {
 			}
 			defer e.Close()
 			s := e.state
-			if s.nodeShard[17] == s.nodeShard[18] || 17>>6 != 18>>6 {
+			if shardOf(17, n) == shardOf(18, n) || 17>>6 != 18>>6 {
 				t.Fatal("nodes 17 and 18 must share a word across a shard boundary")
 			}
 			e.Step() // plans every node once and marks none

@@ -231,7 +231,7 @@ func (e *Engine) Reconfigure(rc Reconfig) error {
 	// order) and link-busy flags. The refilled queues need nothing more: the
 	// service walk reads their headers directly.
 	for _, r := range kept {
-		sh := &s.shards[s.nodeShard[r.to]]
+		sh := &s.shards[shardOf(int(r.to), n)]
 		sh.recs = append(sh.recs, r)
 		s.linkBusy[r.edge] = true
 	}

@@ -170,10 +170,9 @@ type State struct {
 
 	// Sharded transfer store and the node partition behind the whole tick
 	// pipeline: shard k owns nodes [shardLo[k], shardLo[k+1]) and every
-	// transfer in flight towards one of them.
-	shards    [numShards]transferShard
-	shardLo   [numShards + 1]int
-	nodeShard []uint8
+	// transfer in flight towards one of them (see shardOf).
+	shards  [numShards]transferShard
+	shardLo [numShards + 1]int
 
 	counters Counters
 	respTime stats.Online // response time of completed tasks
@@ -535,6 +534,14 @@ func New(cfg Config) (*Engine, error) {
 	if !(cfg.ServiceRate >= 0) || math.IsInf(cfg.ServiceRate, 1) {
 		return nil, fmt.Errorf("sim: ServiceRate %v is not finite and non-negative", cfg.ServiceRate)
 	}
+	// A NaN or infinite T or R weight makes µs non-finite: the task it
+	// touches then never moves or never comes to rest.
+	if err := cfg.TaskGraph.CheckFinite(); err != nil {
+		return nil, fmt.Errorf("sim: Config.TaskGraph: %w", err)
+	}
+	if err := cfg.Resources.CheckFinite(); err != nil {
+		return nil, fmt.Errorf("sim: Config.Resources: %w", err)
+	}
 	s := &State{
 		g:      cfg.Graph,
 		links:  cfg.Links,
@@ -583,27 +590,19 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // layout sizes every per-node structure to the current graph and resets the
-// state derived from the topology. Per-node slices grow to exactly N by
-// make+copy — append growth would over-allocate by up to a quarter at 1M
-// nodes — and the store's queue headers carry over. The shard partition is
-// recomputed; link-busy and link-claim flags start empty; and the active set,
-// when the policy plans incrementally, starts with every node activated.
+// state derived from the topology. The store's queue headers carry over and
+// grow to exactly N (GrowNodes does nothing when N did not grow). The shard
+// partition is recomputed; link-busy and link-claim flags start empty; and
+// the active set, when the policy plans incrementally, starts with every
+// node activated.
 // Residency needs no rebuild: the queue headers are the only record of it.
 // New, Reconfigure and Restore all lay the engine out here.
 func (e *Engine) layout() {
 	s := e.state
 	n := s.g.N()
-	if n > len(s.nodeShard) {
-		s.tasks.GrowNodes(n)
-		s.nodeShard = make([]uint8, n)
-	}
+	s.tasks.GrowNodes(n)
 	for k := 0; k <= numShards; k++ {
 		s.shardLo[k] = k * n / numShards
-	}
-	for k := 0; k < numShards; k++ {
-		for v := s.shardLo[k]; v < s.shardLo[k+1]; v++ {
-			s.nodeShard[v] = uint8(k)
-		}
 	}
 	s.linkBusy = make([]bool, s.g.NumEdges())
 	e.loClaim = make([]bool, s.g.NumEdges())
@@ -967,7 +966,7 @@ func (e *Engine) applyShard(k int, _ *rng.RNG) {
 		}
 		s.linkBusy[eid] = true // sole winner of this link writes it
 		st.SetMovedTick(h, s.tick)
-		dst := s.nodeShard[m.To]
+		dst := shardOf(m.To, s.g.N())
 		p.out[dst] = append(p.out[dst], transferRec{
 			task:      h,
 			from:      int32(v),
@@ -1040,7 +1039,7 @@ func (e *Engine) advanceShard(k int, r *rng.RNG) {
 					// recovery, not a fresh transmission).
 					p.counters.Faults++
 					p.counters.BouncedTraffic += load * cost
-					dst := s.nodeShard[t.from]
+					dst := shardOf(int(t.from), s.g.N())
 					p.out[dst] = append(p.out[dst], transferRec{
 						task:      h,
 						from:      t.to,
@@ -1088,7 +1087,7 @@ func (e *Engine) serviceShard(k int, _ *rng.RNG) {
 		if s.Queue(v).Len() == 0 {
 			continue
 		}
-		done, consumed := s.tasks.ConsumeServiceInto(v, e.cfg.ServiceRate*s.Speed(v), s.tick, p.done)
+		done, consumed := s.tasks.ConsumeServiceInto(v, e.cfg.ServiceRate*s.Speed(v), p.done)
 		p.done = done
 		p.counters.Consumed += consumed
 		if consumed > 0 {
@@ -1112,9 +1111,11 @@ func (e *Engine) reduce() {
 		// Completed tasks leave the arena here — inside the ascending-shard
 		// fold, so the free-list order (and with it every future handle
 		// assignment) is identical no matter which worker ran which shard.
+		// Service completed them this tick, so this tick is their
+		// completion tick.
 		for _, h := range p.done {
 			s.counters.TasksCompleted++
-			s.respTime.Add(float64(st.Done(h) - st.Birth(h)))
+			s.respTime.Add(float64(s.tick - st.Birth(h)))
 			st.Release(h)
 		}
 		next = append(next, p.moving...)

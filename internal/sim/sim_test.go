@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,6 +92,69 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Graph: g, Policy: nopPolicy{}, Workers: -1}); err == nil {
 		t.Fatal("negative workers must error")
+	}
+}
+
+// A NaN or infinite T or R weight makes µs non-finite, so New (and with it
+// Restore) rejects it, naming the entry with the lowest row id whatever order
+// the rows were set in.
+func TestNewRejectsNonFiniteWeights(t *testing.T) {
+	g := topology.NewRing(8)
+	initial := make([][]float64, g.N())
+	initial[0] = []float64{1, 1, 1, 1}
+	base := Config{Graph: g, Policy: greedyPolicy{}, Seed: 1, Initial: initial}
+	e, err := New(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run(3)
+	snap := mustSnap(t, e)
+	e.Close()
+
+	tg := taskmodel.NewGraph()
+	tg.SetDep(5, 7, math.NaN())
+	tg.SetDep(2, 3, 1)
+	tg.SetDep(1, 0, math.Inf(-1))
+	res := taskmodel.NewResources()
+	res.SetAffinity(6, 2, math.Inf(1))
+	res.SetAffinity(0, 1, 0.5)
+	res.SetAffinity(3, 4, math.NaN())
+	for _, tc := range []struct {
+		name, want string
+		cfg        Config
+	}{
+		{"TaskGraph", "T(0,1) = -Inf", Config{TaskGraph: tg}},
+		{"Resources", "R(3,4) = NaN", Config{Resources: res}},
+	} {
+		cfg := base
+		cfg.TaskGraph, cfg.Resources = tc.cfg.TaskGraph, tc.cfg.Resources
+		for i := 0; i < 10; i++ { // map order varies between calls
+			if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s: New error %v, want one naming %q", tc.name, err, tc.want)
+			}
+		}
+		if _, err := Restore(snap, cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Restore error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// shardOf must agree with the layout's partition: node v belongs to the
+// shard k with shardLo[k] = k·N/numShards ≤ v < shardLo[k+1], including the
+// empty shards of graphs smaller than numShards.
+func TestShardOfMatchesPartition(t *testing.T) {
+	sizes := []int{16_384, 1 << 20}
+	for n := 1; n <= 300; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		for k := 0; k < numShards; k++ {
+			for v := k * n / numShards; v < (k+1)*n/numShards; v++ {
+				if got := shardOf(v, n); got != k {
+					t.Fatalf("N=%d: shardOf(%d) = %d, want %d", n, v, got, k)
+				}
+			}
+		}
 	}
 }
 
@@ -445,8 +509,10 @@ func TestServiceConsumesAndRecordsResponse(t *testing.T) {
 	if math.Abs(s.Counters().Consumed-4) > 1e-12 {
 		t.Fatalf("consumed = %v", s.Counters().Consumed)
 	}
-	if s.ResponseTimes().N() != 2 {
-		t.Fatal("response times must be recorded")
+	// Born at tick 0, the two 2-load tasks complete in the ticks that serve
+	// their last unit: 1 and 3.
+	if rt := s.ResponseTimes(); rt.N() != 2 || rt.Min() != 1 || rt.Max() != 3 {
+		t.Fatalf("response times: n=%d min=%v max=%v, want 2, 1 and 3", rt.N(), rt.Min(), rt.Max())
 	}
 }
 

@@ -17,7 +17,8 @@
 // flags are rebuilt from the transfers the same way: a link is busy exactly
 // while one transfer holds it, each transfer must name the edge between its
 // endpoints, and the encoded flags must match. Each inertia record must name
-// a released slot or a task resident at the record's node.
+// a released slot or a task resident at the record's node, and each live
+// slot's completion field must read -1.
 //
 // Everything else is exact: the arena's slot lanes and free-list order (the
 // free-list determines every future handle assignment), cached queue totals
@@ -250,7 +251,10 @@ func (e *Engine) Snapshot() ([]byte, error) {
 
 	// Task arena: every slot (dead ones as a bare -1 id), then the free-list
 	// in exact recycling order — it determines every future handle assignment.
-	// Node and link lanes are not encoded; the queue records rebuild them.
+	// Node and link lanes are not encoded; the queue records rebuild them. A
+	// live slot's completion field is always -1: a task that completes is
+	// released in the same tick, so no live slot holds a completion tick
+	// between ticks.
 	w.u64(uint64(capn))
 	for h := 0; h < capn; h++ {
 		ss := st.SlotStateAt(taskmodel.Handle(h))
@@ -265,7 +269,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 		w.u32(uint32(ss.Prev))
 		w.u32(uint32(ss.Hops))
 		w.i64(ss.Birth)
-		w.i64(ss.Done)
+		w.i64(-1) // completion tick
 		w.i64(ss.MovedTick)
 	}
 	w.i64(int64(st.IDBound()))
@@ -483,7 +487,9 @@ func (e *Engine) restoreBody(r *snapReader) error {
 			Prev:   int32(r.u32()),
 			Hops:   int32(r.u32()),
 			Birth:  r.i64(),
-			Done:   r.i64(),
+		}
+		if done := r.i64(); r.err == nil && done != -1 {
+			return fmt.Errorf("sim: snapshot: slot %d (task %d) holds completion tick %d; a live slot holds -1", h, id, done)
 		}
 		slots[h].MovedTick = r.i64()
 	}

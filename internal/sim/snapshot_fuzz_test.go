@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 
@@ -69,6 +70,17 @@ type snapEdit struct {
 	snap       []byte
 }
 
+// busyFlagsAt returns the offset of the link-busy flags in snap, a snapshot
+// of e: they follow the arrival stream's state, the last field of the scalar
+// block, whose 32 bytes occur exactly once.
+func busyFlagsAt(e *Engine, snap []byte) int {
+	var rngBytes []byte
+	for _, w := range e.arrivalRNG.State() {
+		rngBytes = binary.LittleEndian.AppendUint64(rngBytes, w)
+	}
+	return bytes.Index(snap, rngBytes) + len(rngBytes)
+}
+
 // linkStateEdits returns a snapshot of fuzzRestoreConfig's system with
 // transfers in flight and two hand edits of it that only the link-state
 // cross-checks catch: a free link's busy byte set, and a transfer moved onto
@@ -87,13 +99,7 @@ func linkStateEdits(tb testing.TB) (snap []byte, edits []snapEdit) {
 		tb.Fatal(err)
 	}
 
-	// The busy flags follow the arrival stream's state, the last field of
-	// the scalar block; its 32 bytes occur exactly once.
-	var rngBytes []byte
-	for _, w := range e.arrivalRNG.State() {
-		rngBytes = binary.LittleEndian.AppendUint64(rngBytes, w)
-	}
-	busyAt := bytes.Index(snap, rngBytes) + len(rngBytes)
+	busyAt := busyFlagsAt(e, snap)
 	free := -1
 	for id, b := range s.linkBusy {
 		if (snap[busyAt+id] == 1) != b {
@@ -205,15 +211,49 @@ func inertiaEdits(tb testing.TB) (snap []byte, edits []snapEdit) {
 	}
 }
 
+// completionEdits returns a snapshot of fuzzRestoreConfig's system after
+// some service and one hand edit: the first live slot's completion field
+// holds a tick instead of -1. A task that completes is released in the same
+// tick, so no engine writes such a slot, and re-encoding a restored engine
+// could not reproduce the bytes.
+func completionEdits(tb testing.TB) (snap []byte, edits []snapEdit) {
+	tb.Helper()
+	e := fuzzRestoreEngine(tb)
+	defer e.Close()
+	e.Run(6)
+	s, st := e.state, e.state.tasks
+	var err error
+	if snap, err = e.Snapshot(); err != nil {
+		tb.Fatal(err)
+	}
+
+	// The arena follows the busy flags and its slot count. A dead slot is a
+	// bare 8-byte id; a live one is id, load, flag, moving, origin, prev,
+	// hops and birth (45 bytes), then the completion tick and MovedTick.
+	at := busyFlagsAt(e, snap) + len(s.linkBusy) + 8
+	h := taskmodel.Handle(0)
+	for ; st.ID(h) < 0; h++ {
+		at += 8
+	}
+	at += 45
+	if binary.LittleEndian.Uint64(snap[at-8:]) != uint64(st.Birth(h)) ||
+		int64(binary.LittleEndian.Uint64(snap[at:])) != -1 {
+		tb.Fatal("first live slot's completion field not where expected")
+	}
+	done := append([]byte(nil), snap...)
+	binary.LittleEndian.PutUint64(done[at:], uint64(s.tick))
+	return snap, []snapEdit{{"live slot with a completion tick", "completion tick", done}}
+}
+
 // FuzzRestore feeds mutated snapshot bytes through Restore: any input must
 // either produce a working engine (stepped once to shake out latent decode
 // corruption) or a descriptive error — never a panic or a hostile-length
 // allocation. The seed corpus holds real snapshots of the matching system
 // (several ticks, so free-list recycling, transfers and inertia records are
 // all populated), one snapshot from a mismatched epoch, hand-truncated
-// variants, the link-state edits and the inertia-record edits; `go test`
-// runs the corpus as part of the merge gate and the nightly job mutates from
-// there.
+// variants, the link-state, inertia-record and completion-field edits;
+// `go test` runs the corpus as part of the merge gate and the nightly job
+// mutates from there.
 func FuzzRestore(f *testing.F) {
 	cfg, _ := fuzzRestoreConfig()
 
@@ -239,7 +279,8 @@ func FuzzRestore(f *testing.F) {
 	e.Close()
 	_, linkEdits := linkStateEdits(f)
 	_, inertia := inertiaEdits(f)
-	for _, ed := range append(linkEdits, inertia...) {
+	_, completion := completionEdits(f)
+	for _, ed := range slices.Concat(linkEdits, inertia, completion) {
 		f.Add(ed.snap)
 	}
 
@@ -288,6 +329,13 @@ func TestSnapshotRestoreChecksLinkState(t *testing.T) {
 // holds another task: the settle pass trusts the record's node.
 func TestSnapshotRestoreChecksInertiaRecords(t *testing.T) {
 	expectRejected(t, inertiaEdits)
+}
+
+// Restore rejects a live slot carrying a completion tick: a live slot holds
+// -1 there between ticks, and restoring then re-encoding must give back the
+// same bytes.
+func TestSnapshotRestoreChecksCompletionField(t *testing.T) {
+	expectRejected(t, completionEdits)
 }
 
 // expectRejected restores the unedited snapshot edits returns, which must

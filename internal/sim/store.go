@@ -16,6 +16,11 @@ import (
 // Workers=8 bit-identical by construction.
 const numShards = 16
 
+// shardOf returns the shard that owns node v of an n-node graph: the largest
+// k with k·n/numShards ≤ v (the layout's shardLo[k]), which is
+// ⌈numShards·(v+1)/n⌉ − 1.
+func shardOf(v, n int) int { return (numShards*v + numShards - 1) / n }
+
 // transferRec is one transfer in flight. The same record serves the
 // per-shard outboxes (a move applied by a source-node shard becoming a
 // transfer owned by the destination-node shard, or a faulted transfer

@@ -119,7 +119,7 @@ func FuzzQueue(f *testing.F) {
 				}
 			case 6: // serve k: whole tasks and a partial one
 				amount := float64(arg(i)%9) * 0.35
-				done, consumed := st.ConsumeServiceInto(k, amount, int64(i), nil)
+				done, consumed := st.ConsumeServiceInto(k, amount, nil)
 				var wantDone []Handle
 				wantConsumed := 0.0
 				for amount > 0 && len(m.hs) > 0 {
@@ -142,8 +142,8 @@ func FuzzQueue(f *testing.F) {
 					t.Fatalf("op %d: service at %d: done %v consumed %v, want %v and %v", i, k, done, consumed, wantDone, wantConsumed)
 				}
 				for _, h := range done {
-					if st.Done(h) != int64(i) || st.Node(h) != -1 {
-						t.Fatalf("op %d: completed handle %d: done tick %d, node %d", i, h, st.Done(h), st.Node(h))
+					if st.Node(h) != -1 {
+						t.Fatalf("op %d: completed handle %d: node %d", i, h, st.Node(h))
 					}
 					delete(load, h)
 					st.Release(h)

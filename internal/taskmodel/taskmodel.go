@@ -10,7 +10,8 @@
 //   - Resources ("R" in the paper, |L|x|V|): task-to-node resource affinity.
 //
 // T and R share one task-keyed sparse matrix (columns are task ids for T,
-// node ids for R): one edit view, one lazy rebuild, one row lookup.
+// node ids for R): one map of rows, each row's columns kept sorted as it is
+// edited, so reads never write.
 //
 // The paper uses "task" and "load" interchangeably; so does this package —
 // a task is a unit of load from the balancer's point of view.
@@ -29,9 +30,8 @@ package taskmodel
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
 // ID identifies a task for the lifetime of a run.
@@ -68,14 +68,12 @@ type Store struct {
 	prev      []Handle
 	hops      []int32
 	birth     []int64
-	done      []int64
 	movedTick []int64
 
 	queues []Queue // per-node queue headers, indexed by node id
 
 	free []Handle // released slots, reused LIFO (deterministic)
 	byID []Handle // dense id→handle index; NoHandle = dead or never created
-	live int
 }
 
 // NewStore returns an empty arena.
@@ -100,7 +98,6 @@ func (s *Store) Create(id ID, load float64, origin int, birth int64) Handle {
 		s.prev[h] = NoHandle
 		s.hops[h] = 0
 		s.birth[h] = birth
-		s.done[h] = -1
 		s.movedTick[h] = -1
 	} else {
 		h = Handle(len(s.id))
@@ -115,14 +112,12 @@ func (s *Store) Create(id ID, load float64, origin int, birth int64) Handle {
 		s.prev = append(s.prev, NoHandle)
 		s.hops = append(s.hops, 0)
 		s.birth = append(s.birth, birth)
-		s.done = append(s.done, -1)
 		s.movedTick = append(s.movedTick, -1)
 	}
 	for int64(len(s.byID)) <= int64(id) {
 		s.byID = append(s.byID, NoHandle)
 	}
 	s.byID[id] = h
-	s.live++
 	return h
 }
 
@@ -133,7 +128,6 @@ func (s *Store) Release(h Handle) {
 	s.byID[s.id[h]] = NoHandle
 	s.id[h] = -1
 	s.free = append(s.free, h)
-	s.live--
 }
 
 // HandleOf returns the live task with the given id, or NoHandle.
@@ -150,7 +144,7 @@ func (s *Store) Alive(h Handle) bool {
 }
 
 // Live returns the number of live tasks.
-func (s *Store) Live() int { return s.live }
+func (s *Store) Live() int { return len(s.id) - len(s.free) }
 
 // Cap returns the number of slots ever created (live + free).
 func (s *Store) Cap() int { return len(s.id) }
@@ -194,9 +188,6 @@ func (s *Store) Hops(h Handle) int { return int(s.hops[h]) }
 // Birth returns the tick at which the task entered the system.
 func (s *Store) Birth(h Handle) int64 { return s.birth[h] }
 
-// Done returns the tick the task finished service (-1 while live).
-func (s *Store) Done(h Handle) int64 { return s.done[h] }
-
 // MovedTick returns the tick the task last departed a node (-1 if never).
 // The engine's inertia settle rule reads it to tell whether a task continued
 // its slide this tick; a per-task stamp is writable from the parallel apply
@@ -224,7 +215,8 @@ func (s *Store) AddHop(h Handle) { s.hops[h]++ }
 // SlotState is the serializable state of one arena slot: every lane except
 // the node and link lanes, which are queue residency state and are rebuilt
 // when the snapshot decoder re-enqueues the handle. A dead (free) slot has ID -1 and
-// all other fields zero.
+// all other fields zero. There is no completion tick: a task that finishes
+// service is released in the same tick, so a live slot never carries one.
 type SlotState struct {
 	ID        ID
 	Load      float64
@@ -234,7 +226,6 @@ type SlotState struct {
 	Prev      int32
 	Hops      int32
 	Birth     int64
-	Done      int64
 	MovedTick int64
 }
 
@@ -247,7 +238,7 @@ func (s *Store) SlotStateAt(h Handle) SlotState {
 	return SlotState{
 		ID: s.id[h], Load: s.load[h], Flag: s.flag[h], Moving: s.moving[h],
 		Origin: s.origin[h], Prev: s.prevNode[h], Hops: s.hops[h],
-		Birth: s.birth[h], Done: s.done[h], MovedTick: s.movedTick[h],
+		Birth: s.birth[h], MovedTick: s.movedTick[h],
 	}
 }
 
@@ -276,7 +267,6 @@ func (s *Store) RestoreSnapshot(slots []SlotState, free []Handle, idBound ID) er
 	s.prev = make([]Handle, n)
 	s.hops = make([]int32, n)
 	s.birth = make([]int64, n)
-	s.done = make([]int64, n)
 	s.movedTick = make([]int64, n)
 	if idBound < 0 {
 		return fmt.Errorf("taskmodel: restore: negative id bound %d", idBound)
@@ -286,7 +276,7 @@ func (s *Store) RestoreSnapshot(slots []SlotState, free []Handle, idBound ID) er
 	for i := range s.byID {
 		s.byID[i] = NoHandle
 	}
-	s.live = 0
+	live := 0
 	for h, st := range slots {
 		s.node[h] = -1
 		s.next[h] = NoHandle
@@ -294,7 +284,6 @@ func (s *Store) RestoreSnapshot(slots []SlotState, free []Handle, idBound ID) er
 		if st.ID < 0 {
 			s.id[h] = -1
 			s.prevNode[h] = -1
-			s.done[h] = -1
 			s.movedTick[h] = -1
 			continue
 		}
@@ -312,10 +301,9 @@ func (s *Store) RestoreSnapshot(slots []SlotState, free []Handle, idBound ID) er
 		s.prevNode[h] = st.Prev
 		s.hops[h] = st.Hops
 		s.birth[h] = st.Birth
-		s.done[h] = st.Done
 		s.movedTick[h] = st.MovedTick
 		s.byID[st.ID] = Handle(h)
-		s.live++
+		live++
 	}
 	s.free = make([]Handle, len(free))
 	for i, h := range free {
@@ -327,137 +315,86 @@ func (s *Store) RestoreSnapshot(slots []SlotState, free []Handle, idBound ID) er
 		}
 		s.free[i] = h
 	}
-	if s.live+len(s.free) != n {
-		return fmt.Errorf("taskmodel: restore: %d live + %d free != %d slots", s.live, len(s.free), n)
+	if live+len(s.free) != n {
+		return fmt.Errorf("taskmodel: restore: %d live + %d free != %d slots", live, len(s.free), n)
 	}
 	return nil
 }
 
-// denseSlack bounds how much larger than the row count the dense id→row
-// index may be: engine ids are sequential, so the index stays near-full;
-// a pathological sparse id universe falls back to binary search.
-const denseSlack = 1024
-
 // sparse is the task-keyed sparse matrix behind both T (columns are task
-// ids) and R (columns are node ids). It keeps two representations: a
-// map-of-maps edit view that set mutates, and a flat form — rows sorted by
-// task id, each row's columns ascending with aligned weights — that reads
-// use. The flat form is rebuilt lazily on the first read after a mutation;
-// reads on a clean matrix touch only immutable slices, so concurrent readers
-// (the parallel planning fan-out) are safe as long as nobody mutates the
-// matrix mid-tick. When the row ids are compact — the engine's sequential
-// ids — the row index is a dense slice, so the µs hot path never hashes or
-// searches for its row. The zero value is an empty matrix.
+// ids) and R (columns are node ids): one entry per non-empty row, holding the
+// row's columns in ascending order with aligned weights. set edits a row in
+// place, so reads never write: concurrent readers (the parallel planning
+// fan-out) are safe as long as nobody mutates the matrix mid-tick. The zero
+// value is an empty matrix.
 type sparse[C ID | int32] struct {
-	edit  map[ID]map[C]float64
-	dirty atomic.Bool
-	mu    sync.Mutex // serialises rebuilds
-
-	// Flat form, valid while !dirty.
-	ids      []ID    // row ids, ascending
-	rowDense []int32 // dense id→row index (-1 = no row); nil when ids are sparse
-	rowStart []int32
-	cols     []C
-	wts      []float64
+	rows map[ID]sparseRow[C]
 }
 
-// set records entry (a, c); weight 0 removes it. Not safe for use
-// concurrently with readers.
+type sparseRow[C ID | int32] struct {
+	cols []C
+	wts  []float64
+}
+
+// set records entry (a, c); weight 0 removes it, and a row left empty is
+// deleted. Not safe for use concurrently with readers.
 func (m *sparse[C]) set(a ID, c C, weight float64) {
-	if weight == 0 {
-		if row := m.edit[a]; row != nil {
-			delete(row, c)
-			if len(row) == 0 {
-				delete(m.edit, a)
-			}
-		}
-	} else {
-		if m.edit == nil {
-			m.edit = make(map[ID]map[C]float64)
-		}
-		row := m.edit[a]
-		if row == nil {
-			row = make(map[C]float64)
-			m.edit[a] = row
-		}
-		row[c] = weight
-	}
-	m.dirty.Store(true)
-}
-
-// ensure rebuilds the flat form if mutations are pending.
-func (m *sparse[C]) ensure() {
-	if !m.dirty.Load() {
+	r := m.rows[a]
+	i, ok := slices.BinarySearch(r.cols, c)
+	switch {
+	case ok && weight != 0:
+		r.wts[i] = weight
+		return
+	case ok:
+		r.cols = slices.Delete(r.cols, i, i+1)
+		r.wts = slices.Delete(r.wts, i, i+1)
+	case weight != 0:
+		r.cols = slices.Insert(r.cols, i, c)
+		r.wts = slices.Insert(r.wts, i, weight)
+	default:
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.dirty.Load() {
-		return
+	switch {
+	case len(r.cols) == 0:
+		delete(m.rows, a)
+	case m.rows == nil:
+		m.rows = map[ID]sparseRow[C]{a: r}
+	default:
+		m.rows[a] = r
 	}
-	ids := make([]ID, 0, len(m.edit))
-	total := 0
-	for a, row := range m.edit {
-		ids = append(ids, a)
-		total += len(row)
-	}
-	slices.Sort(ids)
-	rowStart := make([]int32, len(ids)+1)
-	cols := make([]C, 0, total)
-	wts := make([]float64, 0, total)
-	for r, a := range ids {
-		row := m.edit[a]
-		start := len(cols)
-		for c := range row {
-			cols = append(cols, c)
-		}
-		slices.Sort(cols[start:])
-		for _, c := range cols[start:] {
-			wts = append(wts, row[c])
-		}
-		rowStart[r+1] = int32(len(cols))
-	}
-	var dense []int32
-	if n := len(ids); n > 0 && ids[0] >= 0 && int64(ids[n-1]) <= int64(4*n+denseSlack) {
-		dense = make([]int32, ids[n-1]+1)
-		for i := range dense {
-			dense[i] = -1
-		}
-		for r, a := range ids {
-			dense[a] = int32(r)
-		}
-	}
-	m.ids, m.rowDense, m.rowStart, m.cols, m.wts = ids, dense, rowStart, cols, wts
-	m.dirty.Store(false)
 }
 
 // row returns row a as ascending columns and aligned weights (nil when a has
 // no entries).
 func (m *sparse[C]) row(a ID) ([]C, []float64) {
-	m.ensure()
-	var r int
-	if m.rowDense != nil {
-		if a < 0 || int64(a) >= int64(len(m.rowDense)) || m.rowDense[a] < 0 {
-			return nil, nil
-		}
-		r = int(m.rowDense[a])
-	} else {
-		var ok bool
-		if r, ok = slices.BinarySearch(m.ids, a); !ok {
-			return nil, nil
-		}
-	}
-	lo, hi := m.rowStart[r], m.rowStart[r+1]
-	return m.cols[lo:hi], m.wts[lo:hi]
+	r := m.rows[a]
+	return r.cols, r.wts
 }
 
 // at returns entry (a, c), 0 when absent.
 func (m *sparse[C]) at(a ID, c C) float64 {
-	cols, wts := m.row(a)
-	if i, ok := slices.BinarySearch(cols, c); ok {
-		return wts[i]
+	r := m.rows[a]
+	if i, ok := slices.BinarySearch(r.cols, c); ok {
+		return r.wts[i]
 	}
 	return 0
+}
+
+// firstNonFinite returns the NaN or infinite entry with the lowest row id
+// (lowest column within that row), or ok false when every weight is finite.
+func (m *sparse[C]) firstNonFinite() (a ID, c C, w float64, ok bool) {
+	for id, r := range m.rows {
+		if ok && id > a {
+			continue
+		}
+		for i, x := range r.wts {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				a, c, w, ok = id, r.cols[i], x, true
+				break
+			}
+		}
+	}
+	return a, c, w, ok
 }
 
 // Graph is the task-dependency graph T: Weight(a,b) is the communication
@@ -472,6 +409,8 @@ func NewGraph() *Graph { return &Graph{} }
 
 // SetDep records a symmetric dependency of the given weight between a and b.
 // Setting weight 0 removes the dependency. Self-dependencies are ignored.
+// Weights must be finite: the engine rejects a graph holding a NaN or
+// infinite weight (see CheckFinite).
 // Not safe for use concurrently with readers (build the graph before the
 // simulation starts, or between ticks).
 func (g *Graph) SetDep(a, b ID, weight float64) {
@@ -522,22 +461,38 @@ func (g *Graph) NumDeps() int {
 	if g == nil {
 		return 0
 	}
-	g.m.ensure()
-	return len(g.m.cols) / 2
+	n := 0
+	for _, r := range g.m.rows {
+		n += len(r.cols)
+	}
+	return n / 2
+}
+
+// CheckFinite returns an error naming the NaN or infinite dependency weight
+// with the lowest row id, or nil when every weight is finite.
+func (g *Graph) CheckFinite() error {
+	if g == nil {
+		return nil
+	}
+	if a, b, w, ok := g.m.firstNonFinite(); ok {
+		return fmt.Errorf("taskmodel: dependency weight T(%d,%d) = %v is not finite", a, b, w)
+	}
+	return nil
 }
 
 // Resources is the R matrix of §4.2: Affinity(task, node) expresses how much
 // the task depends on resources present at the node. It shares Graph's
-// sparse matrix, with node ids as columns, so the per-candidate Affinity
-// lookups of the planning fan-out never hash. The zero value (or nil
-// pointer) is an empty matrix.
+// sparse matrix, with node ids as columns. The zero value (or nil pointer)
+// is an empty matrix.
 type Resources struct{ m sparse[int32] }
 
 // NewResources returns an empty resource-affinity matrix.
 func NewResources() *Resources { return &Resources{} }
 
 // SetAffinity records the resource affinity of task t to node v; weight 0
-// removes the entry. Not safe for use concurrently with readers.
+// removes the entry. Weights must be finite: the engine rejects a matrix
+// holding a NaN or infinite weight (see CheckFinite). Not safe for use
+// concurrently with readers.
 func (r *Resources) SetAffinity(t ID, v int, weight float64) {
 	if r == nil {
 		return
@@ -551,6 +506,18 @@ func (r *Resources) Affinity(t ID, v int) float64 {
 		return 0
 	}
 	return r.m.at(t, int32(v))
+}
+
+// CheckFinite returns an error naming the NaN or infinite affinity with the
+// lowest task id, or nil when every weight is finite.
+func (r *Resources) CheckFinite() error {
+	if r == nil {
+		return nil
+	}
+	if t, v, w, ok := r.m.firstNonFinite(); ok {
+		return fmt.Errorf("taskmodel: resource affinity R(%d,%d) = %v is not finite", t, v, w)
+	}
+	return nil
 }
 
 // Queue is the header of the multiset of tasks resident on one node, with
@@ -682,8 +649,9 @@ func (s *Store) RestoreTotal(v int, total float64) { s.queues[v].total = total }
 // may be nil or a reused batch buffer: the engine's sharded service phase
 // drains a whole shard of queues into one buffer without allocating.
 // Completed tasks leave the queue but stay alive in the store until the
-// caller releases them.
-func (s *Store) ConsumeServiceInto(v int, amount float64, now int64, done []Handle) ([]Handle, float64) {
+// caller releases them; the store keeps no completion tick, so the caller
+// books it.
+func (s *Store) ConsumeServiceInto(v int, amount float64, done []Handle) ([]Handle, float64) {
 	q := &s.queues[v]
 	consumed := 0.0
 	for amount > 0 && q.n > 0 {
@@ -693,7 +661,6 @@ func (s *Store) ConsumeServiceInto(v int, amount float64, now int64, done []Hand
 			amount -= load
 			consumed += load
 			q.total -= load
-			s.done[h] = now
 			s.unlink(q, h)
 			done = append(done, h)
 		} else {

@@ -18,9 +18,6 @@ func TestNewTask(t *testing.T) {
 	if st.ID(h) != 7 || st.Load(h) != 2.5 || st.Origin(h) != 3 || st.Birth(h) != 11 {
 		t.Fatalf("bad task: %+v", st.SlotStateAt(h))
 	}
-	if st.Done(h) != -1 {
-		t.Fatal("new task must not be done")
-	}
 	if st.Moving(h) {
 		t.Fatal("new task must be stationary")
 	}
@@ -178,7 +175,7 @@ func TestStoreRecycle(t *testing.T) {
 	if st.HandleOf(0) != a || st.HandleOf(1) != b || st.HandleOf(7) != NoHandle {
 		t.Fatal("HandleOf wrong")
 	}
-	if st.Origin(a) != 3 || st.Birth(a) != 5 || st.Prev(a) != -1 || st.Done(a) != -1 {
+	if st.Origin(a) != 3 || st.Birth(a) != 5 || st.Prev(a) != -1 {
 		t.Fatalf("lane defaults wrong: %+v", st.SlotStateAt(a))
 	}
 	st.Release(a)
@@ -207,15 +204,12 @@ func TestQueueConsumeService(t *testing.T) {
 	st, q := newTestQueue()
 	addTask(st, 1, 2)
 	addTask(st, 2, 3)
-	done, consumed := st.ConsumeServiceInto(0, 4, 10, nil)
+	done, consumed := st.ConsumeServiceInto(0, 4, nil)
 	if consumed != 4 {
 		t.Fatalf("consumed = %v", consumed)
 	}
 	if len(done) != 1 || st.ID(done[0]) != 1 {
 		t.Fatalf("done = %v", done)
-	}
-	if st.Done(done[0]) != 10 {
-		t.Fatal("completed task must record Done tick")
 	}
 	if q.Len() != 1 || math.Abs(q.Total()-1) > 1e-12 {
 		t.Fatalf("queue after service: len=%d total=%v", q.Len(), q.Total())
@@ -229,7 +223,7 @@ func TestQueueConsumeService(t *testing.T) {
 func TestQueueConsumeMoreThanAvailable(t *testing.T) {
 	st, q := newTestQueue()
 	addTask(st, 1, 2)
-	done, consumed := st.ConsumeServiceInto(0, 10, 0, nil)
+	done, consumed := st.ConsumeServiceInto(0, 10, nil)
 	if consumed != 2 || len(done) != 1 || q.Len() != 0 || q.Total() != 0 {
 		t.Fatal("consuming more than available must drain exactly the queue")
 	}
@@ -253,7 +247,7 @@ func TestQueueTotalInvariantQuick(t *testing.T) {
 					st.Release(st.Remove(0, victim))
 				}
 			case 2:
-				done, _ := st.ConsumeServiceInto(0, float64(op%5), 0, nil)
+				done, _ := st.ConsumeServiceInto(0, float64(op%5), nil)
 				for _, h := range done {
 					st.Release(h)
 				}
@@ -345,7 +339,7 @@ func TestQueueInterleavedOps(t *testing.T) {
 	}
 	// Consume a long prefix one task at a time.
 	for i := 0; i < 25; i++ {
-		done, consumed := st.ConsumeServiceInto(0, 1, 0, nil)
+		done, consumed := st.ConsumeServiceInto(0, 1, nil)
 		if len(done) != 1 || st.ID(done[0]) != ID(i) || consumed != 1 {
 			t.Fatalf("consume %d: done=%v consumed=%v", i, done, consumed)
 		}
@@ -420,21 +414,18 @@ func TestQueueConsumeServiceInto(t *testing.T) {
 	marker := st.Create(100, 1, 0, 0) // never enqueued
 	buf := make([]Handle, 0, 8)
 	buf = append(buf, marker) // pre-existing entries survive
-	done, consumed := st.ConsumeServiceInto(0, 2.5, 9, buf)
+	done, consumed := st.ConsumeServiceInto(0, 2.5, buf)
 	if consumed != 2.5 {
 		t.Fatalf("consumed = %v, want 2.5", consumed)
 	}
 	if len(done) != 3 || st.ID(done[0]) != 100 || st.ID(done[1]) != 0 || st.ID(done[2]) != 1 {
 		t.Fatalf("done = %v, want ids [100 0 1] appended in FIFO order", done)
 	}
-	if st.Done(done[1]) != 9 || st.Done(done[2]) != 9 {
-		t.Fatal("completed tasks must be stamped with the service tick")
-	}
 	if q.Len() != 2 || q.Total() != 1.5 {
 		t.Fatalf("queue after partial service: len=%d total=%v, want 2, 1.5", q.Len(), q.Total())
 	}
 	// A nil buffer allocates a fresh one.
-	done2, consumed2 := st.ConsumeServiceInto(0, 10, 11, nil)
+	done2, consumed2 := st.ConsumeServiceInto(0, 10, nil)
 	if consumed2 != 1.5 || len(done2) != 2 {
 		t.Fatalf("nil-buffer drain: done=%d consumed=%v", len(done2), consumed2)
 	}
@@ -454,19 +445,17 @@ func TestTaskMovedTick(t *testing.T) {
 	}
 }
 
-// T and R against a plain-map oracle, on a compact id set (dense row index)
-// and on ids spread far enough to turn the dense index off (binary-search
-// row lookup). Every step mutates — set, overwrite, remove or re-add — and
-// then reads every entry back.
+// T and R against a plain-map oracle, on a compact id set and on ids spread
+// to ±10¹². Every step mutates — set, overwrite, remove or re-add — and then
+// reads every entry back.
 func TestSparseMatchesOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		ids      []ID // ascending
 		resident []ID
-		sparse   bool // every non-empty row set misses the dense-index rule
 	}{
-		{"compact", []ID{0, 1, 2, 3, 5, 8, 13}, []ID{1, 3, 8}, false},
-		{"spread", []ID{-1_000_000_000_000, -3, 5000, 1_000_000, 1_000_000_000_000}, []ID{5000}, true},
+		{"compact", []ID{0, 1, 2, 3, 5, 8, 13}, []ID{1, 3, 8}},
+		{"spread", []ID{-1_000_000_000_000, -3, 5000, 1_000_000, 1_000_000_000_000}, []ID{5000}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nodes := []int{-2, 0, 3, 1 << 20}
@@ -526,17 +515,13 @@ func TestSparseMatchesOracle(t *testing.T) {
 				if got := g.NumDeps(); got != edges/2 {
 					t.Fatalf("step %d: NumDeps = %d, want %d", step, got, edges/2)
 				}
-				if len(g.m.ids) > 0 && (g.m.rowDense == nil) != tc.sparse ||
-					len(res.m.ids) > 0 && (res.m.rowDense == nil) != tc.sparse {
-					t.Fatalf("step %d: row lookup took the wrong path for the %s id set", step, tc.name)
-				}
 			}
 		})
 	}
 }
 
-// The first reads after a mutation race to rebuild the flat form; every
-// goroutine must see the same answers a sequential read gives.
+// Concurrent reads after a batch of mutations must each see the answers a
+// sequential read gives: reads never write.
 func TestSparseParallelFirstRead(t *testing.T) {
 	const tasks, readers = 64, 8
 	g, res := NewGraph(), NewResources()
