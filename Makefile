@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: all build test vet fmt-check check bench bench-control bench-json profile \
-	experiments harness-smoke harness-smoke-race snapshot-gate fuzz soak clean
+	experiments harness-smoke harness-smoke-race snapshot-gate fuzz soak loc clean
 
 all: build
 
@@ -96,6 +96,19 @@ fuzz:
 soak:
 	PPLB_HARNESS_SOAK_COUNT=$(SOAK) PPLB_HARNESS_ARTIFACT_DIR=$(CURDIR)/harness-artifacts \
 		$(GO) test -count=1 -run TestHarnessSoak -timeout 60m ./internal/harness -v
+
+# Go source line counts, non-test and test files apart, for the root module
+# and for the nested benchmark/ module (hidden directories such as the
+# benchmark's build cache are skipped). The before/after difference is the
+# net Go line figure a change reports.
+loc:
+	@count() { d=$$1; shift; find $$d -path "$$d/.*" -prune -o -path ./benchmark -prune -o \
+		-type f "$$@" -print0 | xargs -0 cat | wc -l; }; \
+	printf '%-10s %9s %9s\n' module non-test test; \
+	for m in . benchmark; do \
+		printf '%-10s %9d %9d\n' $$m \
+			$$(count $$m -name '*.go' ! -name '*_test.go') $$(count $$m -name '*_test.go'); \
+	done
 
 # Remove build/test artifacts: compiled test binaries (go test -c output),
 # generated JSON records, and harness replay artifacts.

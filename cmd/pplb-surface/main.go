@@ -18,8 +18,6 @@ import (
 
 	"pplb"
 	"pplb/internal/ascii"
-	"pplb/internal/linkmodel"
-	"pplb/internal/surface"
 )
 
 // parseGridTopology parses the mesh:RxC / torus:RxC specs this renderer is
@@ -118,30 +116,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if step < 1 {
 		step = 1
 	}
-	// The M3 manifold view (§4.1): heights laid out on the mesh grid.
-	links := linkmodel.New(g)
-	printFrame := func() error {
-		surf := surface.New(g, links, surface.SliceHeights(sys.Heights()))
-		grid, ok := surf.GridHeights()
-		if !ok {
-			return fmt.Errorf("internal error: not a grid topology")
+	// The M3 manifold view (§4.1): node r*cols+c of a mesh or torus sits at
+	// row r, column c, so the heights slice row-major into the grid.
+	printFrame := func() {
+		h := sys.Heights()
+		grid := make([][]float64, rows)
+		for r := range grid {
+			grid[r] = h[r*cols : (r+1)*cols]
 		}
 		ascii.Heatmap(stdout, fmt.Sprintf("tick %d  cv=%.3f", sys.State().Tick(), sys.CV()), grid)
 		fmt.Fprintln(stdout)
-		return nil
 	}
-	if err := printFrame(); err != nil {
-		return err
-	}
+	printFrame()
 	for done := 0; done < *ticks; done += step {
 		n := step
 		if done+n > *ticks {
 			n = *ticks - done
 		}
 		sys.Run(n)
-		if err := printFrame(); err != nil {
-			return err
-		}
+		printFrame()
 	}
 	fmt.Fprintf(stdout, "final: %s\n", summaryLine(sys))
 	return nil

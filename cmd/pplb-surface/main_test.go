@@ -79,3 +79,29 @@ func TestRunErrors(t *testing.T) {
 		t.Fatal("bad flag must error")
 	}
 }
+
+// TestRunGridLayout: node r*cols+c is drawn at row r, column c. On a
+// non-square mesh the tick-0 frame shows the peak glyph at the hotspot,
+// (rows/2, cols/2), and nowhere else; a column-major layout would put node
+// 2*5+2 at row 0, column 3.
+func TestRunGridLayout(t *testing.T) {
+	const rows, cols = 4, 5
+	var out, errb bytes.Buffer
+	if err := run([]string{"-topology", "mesh:4x5", "-ticks", "0"}, &out, &errb); err != nil {
+		t.Fatalf("%v\nstderr:\n%s", err, errb.String())
+	}
+	lines := strings.Split(out.String(), "\n")
+	if len(lines) < rows+1 || !strings.HasPrefix(lines[0], "tick 0") {
+		t.Fatalf("missing tick-0 frame:\n%s", out.String())
+	}
+	for r, line := range lines[1 : rows+1] {
+		if len(line) != cols {
+			t.Fatalf("row %d is %q, want %d cells:\n%s", r, line, cols, out.String())
+		}
+		for c := range cols {
+			if peak := line[c] == '@'; peak != (r == rows/2 && c == cols/2) {
+				t.Fatalf("peak glyph at row %d, column %d is %t:\n%s", r, c, peak, out.String())
+			}
+		}
+	}
+}

@@ -42,9 +42,6 @@ func (t *Table) AddRow(cells ...interface{}) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) {
 	cols := len(t.Headers)

@@ -201,15 +201,8 @@ func (b *Balancer) PlanLocality() sim.Locality { return sim.LocalityNeighborhood
 // Config returns the balancer's configuration.
 func (b *Balancer) Config() Config { return b.cfg }
 
-// linkCost returns e_ij under the configured fault awareness.
-func (b *Balancer) linkCost(view *sim.State, i, j int) float64 {
-	if b.cfg.FaultOblivious {
-		return view.Links().CostOblivious(i, j)
-	}
-	return view.Links().Cost(i, j)
-}
-
-// edgeCost is linkCost addressed by canonical edge id.
+// edgeCost returns e_ij of the link with canonical edge id eid under the
+// configured fault awareness.
 func (b *Balancer) edgeCost(links *linkmodel.Params, eid int) float64 {
 	if b.cfg.FaultOblivious {
 		return links.CostObliviousByEdge(eid)
@@ -524,24 +517,6 @@ func byLoadDescKeys(dst []loadKey, first taskmodel.Handle, st *taskmodel.Store) 
 		return cmp.Compare(a.id, b.id)
 	})
 	return dst
-}
-
-// FeasibleStationary reports whether the paper's stationary criterion, as
-// configured, allows moving task h from i to j given the current view, and
-// returns the adjusted gradient. Exposed for tests and the experiment harness.
-func (b *Balancer) FeasibleStationary(view *sim.State, h taskmodel.Handle, i, j int) (float64, bool) {
-	st := view.TaskStore()
-	load := st.Load(h)
-	tanBeta := b.stationaryScore(view.Height(i), view.Height(j), load/view.Speed(i), load, view.Speed(j), b.linkCost(view, i, j))
-	return tanBeta, tanBeta > b.MuS(view, st.ID(h), i)
-}
-
-// FeasibleMoving reports whether the in-motion criterion allows task h
-// (resident on i with flag h*) to continue to j, returning the score a_j.
-func (b *Balancer) FeasibleMoving(view *sim.State, h taskmodel.Handle, i, j int) (float64, bool) {
-	st := view.TaskStore()
-	a := st.Flag(h) - b.MuK(view, st.ID(h), i)*b.linkCost(view, i, j) - view.Height(j)
-	return a, a > 0
 }
 
 // ensure interface compliance

@@ -6,6 +6,7 @@ import (
 
 	"pplb/internal/arbiter"
 	"pplb/internal/linkmodel"
+	"pplb/internal/rng"
 	"pplb/internal/sim"
 	"pplb/internal/stats"
 	"pplb/internal/taskmodel"
@@ -37,23 +38,24 @@ func unitTasks(n int) []float64 {
 	return out
 }
 
+// The stationary rule with the −2l transfer correction, as planning applies
+// it on a two-node line: a task of load l leaves node 0 for the empty node 1
+// when (h(0) − h(1) − 2l)/e > µs, with e = 1 and µs = 0 here.
 func TestStationaryCriterion(t *testing.T) {
-	g := topology.NewRing(4)
-	e := engine(t, sim.Config{
-		Graph: g, Policy: New(greedyCfg()), Seed: 1,
-		Initial: [][]float64{{4, 4}, {}, {1}, {}},
-	})
-	view := e.State()
-	b := New(greedyCfg())
-	task := e.State().TaskStore().AppendHandles(nil, 0)[0] // load 4 on node 0 (h=8)
-	// Towards node 1 (h=0): (8-0-8)/1 = 0, not > 0 → infeasible for the
-	// 4-load; but feasibility is per task size.
-	if tb, ok := b.FeasibleStationary(view, task, 0, 1); ok || tb != 0 {
-		t.Fatalf("4-load move should be border-infeasible: tb=%v ok=%v", tb, ok)
+	plan := func(loads []float64) ([]sim.Move, *taskmodel.Store) {
+		e := engine(t, sim.Config{Graph: topology.NewMesh(1, 2), Policy: New(greedyCfg()), Seed: 1,
+			Initial: [][]float64{loads, {}}})
+		return New(greedyCfg()).PlanNodeInto(0, e.State(), rng.New(1), nil), e.State().TaskStore()
 	}
-	small := e.State().TaskStore().Create(99, 1, 0, 0) // not enqueued: h stays 8
-	if tb, ok := b.FeasibleStationary(view, small, 0, 1); !ok || tb != 6 {
-		t.Fatalf("1-load move should be feasible with tb=6: tb=%v ok=%v", tb, ok)
+	// h = 8, l = 4: (8 − 0 − 8)/1 = 0 is not > 0, so neither task moves.
+	if moves, _ := plan([]float64{4, 4}); len(moves) != 0 {
+		t.Fatalf("4-loads on a height-8 node must stay: %v", moves)
+	}
+	// h = 8: the 7-load scores (8 − 14)/1 < 0 and stays; the 1-load scores
+	// (8 − 2)/1 = 6 and moves.
+	moves, st := plan([]float64{7, 1})
+	if len(moves) != 1 || moves[0].To != 1 || st.Load(st.HandleOf(moves[0].TaskID)) != 1 {
+		t.Fatalf("exactly the 1-load task should move to node 1: %v", moves)
 	}
 }
 
@@ -370,24 +372,35 @@ func TestEmptyAndIsolatedNodes(t *testing.T) {
 	}
 }
 
+// Over a flaky link the fault-aware cost e = (d/bw)/(1−f)^(d/bw) flattens the
+// slope: with f = 0.5 it is 2 against the oblivious 1, so a task whose static
+// friction lies between the two slopes moves only for the oblivious balancer.
 func TestFaultObliviousIgnoresFaultCost(t *testing.T) {
-	g := topology.NewRing(4)
-	links := linkmodel.New(g, linkmodel.WithUniformFault(0.4))
-	e := engine(t, sim.Config{Graph: g, Links: links, Policy: New(greedyCfg()), Seed: 1,
-		Initial: [][]float64{{3, 1}, {}, {}, {}}})
+	g := topology.NewMesh(1, 2)
+	res := taskmodel.NewResources()
+	e := engine(t, sim.Config{Graph: g, Links: linkmodel.New(g, linkmodel.WithUniformFault(0.5)),
+		Policy: New(greedyCfg()), Seed: 1, Initial: [][]float64{{3, 1}, {}}, Resources: res})
 	view := e.State()
+	st := view.TaskStore()
+	// The 3-load scores (4 − 0 − 6)/e < 0 under either cost. The 1-load
+	// scores (4 − 0 − 2)/e against µs = CsR·R = 1.5: 1 under the fault-aware
+	// cost, 2 under the oblivious one.
+	var light taskmodel.ID
+	for _, h := range st.AppendHandles(nil, 0) {
+		if st.Load(h) == 1 {
+			light = st.ID(h)
+		}
+	}
+	res.SetAffinity(light, 0, 1.5)
 
-	aware := New(greedyCfg())
+	if moves := New(greedyCfg()).PlanNodeInto(0, view, rng.New(1), nil); len(moves) != 0 {
+		t.Fatalf("fault-aware balancer must not cross the flaky link: %v", moves)
+	}
 	obliviousCfg := greedyCfg()
 	obliviousCfg.FaultOblivious = true
-	oblivious := New(obliviousCfg)
-
-	// The light task: (4 − 0 − 2)/e = 2/e, nonzero so the costs differ.
-	task := e.State().TaskStore().AppendHandles(nil, 0)[1]
-	tbAware, _ := aware.FeasibleStationary(view, task, 0, 1)
-	tbObl, _ := oblivious.FeasibleStationary(view, task, 0, 1)
-	if !(tbObl > tbAware) {
-		t.Fatalf("fault-aware gradient must be flatter: aware=%v oblivious=%v", tbAware, tbObl)
+	moves := New(obliviousCfg).PlanNodeInto(0, view, rng.New(1), nil)
+	if len(moves) != 1 || moves[0].TaskID != light || moves[0].To != 1 {
+		t.Fatalf("fault-oblivious balancer should move task %d to node 1: %v", light, moves)
 	}
 }
 

@@ -20,20 +20,21 @@ import (
 	"pplb/internal/topology"
 )
 
-// Params holds the per-link configuration matrices. Entries exist only for
-// edges of the underlying graph; accessors panic on non-edges, which in this
-// codebase always indicates a balancer bug rather than recoverable input.
+// Params holds the per-link configuration matrices, one entry per edge of
+// the underlying graph, addressed by canonical edge id
+// (topology.Graph.EdgeID).
 type Params struct {
 	g *topology.Graph
 	// Per-edge values, indexed by canonical edge index.
 	bw, d, f []float64
 	// Derived per-edge values that need math.Pow, precomputed at
 	// construction so the planning hot path reads a slice instead of
-	// recomputing pow per candidate. CostOblivious and Latency are one
-	// division away from bw and d, so they are computed where they are read.
+	// recomputing pow per candidate. The oblivious cost and the latency are
+	// one division away from bw and d, so they are computed where they are
+	// read.
 	cost, failProb []float64
-	// costScale is the proportionality constant folded into Cost; cFault is
-	// the c in the (1-f)^(c·d/bw) reliability exponent. Unexported: Params
+	// costScale is the proportionality constant folded into the cost; cFault
+	// is the c in the (1-f)^(c·d/bw) reliability exponent. Unexported: Params
 	// is immutable after New, and the derived tables above snapshot these —
 	// a post-construction write would silently be ignored.
 	costScale float64
@@ -41,12 +42,6 @@ type Params struct {
 	// fingerprint memoizes Fingerprint: Params never changes after New.
 	fingerprint func() uint64
 }
-
-// CostScale returns the proportionality constant folded into Cost.
-func (p *Params) CostScale() float64 { return p.costScale }
-
-// CFault returns the c constant of the (1-f)^(c·d/bw) reliability exponent.
-func (p *Params) CFault() float64 { return p.cFault }
 
 // Option mutates construction-time settings of Params.
 type Option func(*builder)
@@ -88,12 +83,8 @@ func WithFaultFn(fn func(u, v int) float64) Option {
 	return func(b *builder) { b.f = fn }
 }
 
-// WithEuclideanLengths derives link lengths from the M2 embedding of g.
-func WithEuclideanLengths(g *topology.Graph) Option {
-	return func(b *builder) { b.d = g.EuclideanLength }
-}
-
-// WithCostScale sets the overall proportionality constant of Cost (default 1).
+// WithCostScale sets the overall proportionality constant of the link cost
+// (default 1).
 func WithCostScale(s float64) Option {
 	return func(b *builder) { b.costScale = s }
 }
@@ -117,7 +108,7 @@ func WithRandomFaults(maxF float64, seed uint64) Option {
 
 // New builds link parameters for every edge of g. Defaults: bandwidth 1,
 // length 1, fault probability 0, cost scale 1, fault exponent 1 — which makes
-// Cost(u,v) == 1 for all links, the "uniform unit-cost network" baseline.
+// every link cost 1, the "uniform unit-cost network" baseline.
 func New(g *topology.Graph, opts ...Option) *Params {
 	b := &builder{
 		bw:        func(u, v int) float64 { return 1 },
@@ -150,7 +141,7 @@ func New(g *topology.Graph, opts ...Option) *Params {
 		p.f[i] = clamp01(f)
 		// Written as !(x > 0 && x < +Inf) so NaN, which compares false
 		// against everything, is rejected too: a NaN or infinite parameter
-		// would give a NaN or infinite Cost on which no slope comparison
+		// would give a NaN or infinite cost on which no slope comparison
 		// ever succeeds.
 		if !(p.bw[i] > 0 && p.bw[i] < math.Inf(1)) {
 			panic(fmt.Sprintf("linkmodel: non-positive or non-finite bandwidth %v on edge %v", p.bw[i], e))
@@ -187,7 +178,7 @@ func clamp01(x float64) float64 {
 		return 0
 	}
 	if x >= 1 {
-		// f == 1 would make the link permanently dead and Cost infinite;
+		// f == 1 would make the link permanently dead and its cost infinite;
 		// cap just below 1 so the cost stays finite and enormous.
 		return 1 - 1e-9
 	}
@@ -197,59 +188,31 @@ func clamp01(x float64) float64 {
 // Graph returns the topology these parameters are attached to.
 func (p *Params) Graph() *topology.Graph { return p.g }
 
-func (p *Params) edgeIdx(u, v int) int {
-	i, ok := p.g.EdgeID(u, v)
-	if !ok {
-		panic(fmt.Sprintf("linkmodel: (%d,%d) is not an edge", u, v))
-	}
-	return i
-}
-
-// Bandwidth returns bw_ij.
-func (p *Params) Bandwidth(u, v int) float64 { return p.bw[p.edgeIdx(u, v)] }
-
-// Length returns d_ij.
-func (p *Params) Length(u, v int) float64 { return p.d[p.edgeIdx(u, v)] }
-
-// Fault returns f_ij, the per-tick fault probability of the link.
-func (p *Params) Fault(u, v int) float64 { return p.f[p.edgeIdx(u, v)] }
-
-// Cost returns the composite link weight e_ij of §4.2:
+// CostByEdge returns the composite link weight e_ij of §4.2 for the link
+// with the given canonical edge id (see topology.Graph.IncidentEdgeIDs):
 //
-//	e_ij = CostScale · (d/bw) / (1-f)^(CFault·d/bw)
+//	e_ij = costScale · (d/bw) / (1-f)^(cFault·d/bw)
 //
 // combining the paper's three proportionalities. d/bw is the nominal
 // transfer time per unit load; the (1-f)^(c·d/bw) factor is "a measure of the
 // probability that the load does not encounter any faults during its
 // transmission", so dividing by it inflates the effective cost of flaky
 // links.
-func (p *Params) Cost(u, v int) float64 { return p.cost[p.edgeIdx(u, v)] }
-
-// CostByEdge returns Cost for the link with the given canonical edge id
-// (see topology.Graph.IncidentEdgeIDs); no map lookup, for planning loops.
 func (p *Params) CostByEdge(id int) float64 { return p.cost[id] }
 
-// CostOblivious returns the link weight a fault-unaware balancer sees: the
-// same formula with the reliability factor dropped. The fault-awareness
-// ablation (E12) compares Cost vs CostOblivious.
-func (p *Params) CostOblivious(u, v int) float64 { return p.CostObliviousByEdge(p.edgeIdx(u, v)) }
-
-// CostObliviousByEdge returns CostOblivious by canonical edge id.
+// CostObliviousByEdge returns the link weight a fault-unaware balancer sees:
+// the same formula with the reliability factor dropped. The fault-awareness
+// ablation (E12) compares CostByEdge with it.
 func (p *Params) CostObliviousByEdge(id int) float64 { return p.costScale * (p.d[id] / p.bw[id]) }
 
-// Latency returns the integral number of ticks a transfer of one task
+// LatencyByEdge returns the integral number of ticks a transfer of one task
 // occupies the link: max(1, round(d/bw)). Fault risk does not slow a
 // transfer, it only threatens it, so latency uses the oblivious base cost.
-func (p *Params) Latency(u, v int) int { return p.LatencyByEdge(p.edgeIdx(u, v)) }
-
-// LatencyByEdge returns Latency by canonical edge id.
 func (p *Params) LatencyByEdge(id int) int { return max(1, int(math.Round(p.d[id]/p.bw[id]))) }
 
-// DeliveryFailureProb returns the probability that a transfer occupying the
-// link for Latency ticks hits at least one fault: 1-(1-f)^latency.
-func (p *Params) DeliveryFailureProb(u, v int) float64 { return p.failProb[p.edgeIdx(u, v)] }
-
-// DeliveryFailureProbByEdge returns DeliveryFailureProb by canonical edge id.
+// DeliveryFailureProbByEdge returns the probability that a transfer
+// occupying the link for LatencyByEdge ticks hits at least one fault:
+// 1-(1-f)^latency.
 func (p *Params) DeliveryFailureProbByEdge(id int) float64 { return p.failProb[id] }
 
 // Fingerprint returns a deterministic hash of the full link configuration:
@@ -283,16 +246,4 @@ func (p *Params) hash() uint64 {
 	mix(math.Float64bits(p.costScale))
 	mix(math.Float64bits(p.cFault))
 	return h
-}
-
-// MaxCost returns the largest Cost over all edges (0 for edgeless graphs).
-// Balancers use it to normalise slopes.
-func (p *Params) MaxCost() float64 {
-	m := 0.0
-	for _, c := range p.cost {
-		if c > m {
-			m = c
-		}
-	}
-	return m
 }

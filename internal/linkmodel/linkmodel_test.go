@@ -11,17 +11,17 @@ import (
 func TestDefaultsUnitCost(t *testing.T) {
 	g := topology.NewRing(5)
 	p := New(g)
-	for _, e := range g.Edges() {
-		if c := p.Cost(e.U, e.V); c != 1 {
+	for id := range g.Edges() {
+		if c := p.CostByEdge(id); c != 1 {
 			t.Fatalf("default cost = %v, want 1", c)
 		}
-		if p.Latency(e.U, e.V) != 1 {
+		if p.CostObliviousByEdge(id) != 1 {
+			t.Fatal("default oblivious cost must be 1")
+		}
+		if p.LatencyByEdge(id) != 1 {
 			t.Fatal("default latency must be 1")
 		}
-		if p.Fault(e.U, e.V) != 0 {
-			t.Fatal("default fault must be 0")
-		}
-		if p.DeliveryFailureProb(e.U, e.V) != 0 {
+		if p.DeliveryFailureProbByEdge(id) != 0 {
 			t.Fatal("default failure prob must be 0")
 		}
 	}
@@ -34,16 +34,20 @@ func TestUniformOptions(t *testing.T) {
 		WithUniformLength(4),
 		WithUniformFault(0.1),
 	)
-	if p.Bandwidth(0, 1) != 2 || p.Length(0, 1) != 4 || p.Fault(0, 1) != 0.1 {
-		t.Fatal("uniform options not applied")
-	}
+	id := edge(t, g, 0, 1)
 	// base = 4/2 = 2; cost = 2 / 0.9^2
+	if c := p.CostObliviousByEdge(id); c != 2 {
+		t.Fatalf("oblivious cost = %v, want 2", c)
+	}
 	want := 2 / math.Pow(0.9, 2)
-	if c := p.Cost(0, 1); math.Abs(c-want) > 1e-12 {
+	if c := p.CostByEdge(id); math.Abs(c-want) > 1e-12 {
 		t.Fatalf("cost = %v, want %v", c, want)
 	}
-	if p.Latency(0, 1) != 2 {
-		t.Fatalf("latency = %d, want 2", p.Latency(0, 1))
+	if p.LatencyByEdge(id) != 2 {
+		t.Fatalf("latency = %d, want 2", p.LatencyByEdge(id))
+	}
+	if got, want := p.DeliveryFailureProbByEdge(id), 1-math.Pow(0.9, 2); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("failure prob = %v, want %v", got, want)
 	}
 }
 
@@ -53,13 +57,14 @@ func TestCostMonotonicity(t *testing.T) {
 	slower := New(g, WithUniformBandwidth(0.5), WithUniformLength(1))
 	longer := New(g, WithUniformBandwidth(1), WithUniformLength(2))
 	flakier := New(g, WithUniformFault(0.3))
-	if !(slower.Cost(0, 1) > base.Cost(0, 1)) {
+	id := edge(t, g, 0, 1)
+	if !(slower.CostByEdge(id) > base.CostByEdge(id)) {
 		t.Fatal("lower bandwidth must increase cost")
 	}
-	if !(longer.Cost(0, 1) > base.Cost(0, 1)) {
+	if !(longer.CostByEdge(id) > base.CostByEdge(id)) {
 		t.Fatal("longer link must increase cost")
 	}
-	if !(flakier.Cost(0, 1) > base.Cost(0, 1)) {
+	if !(flakier.CostByEdge(id) > base.CostByEdge(id)) {
 		t.Fatal("faultier link must increase cost")
 	}
 }
@@ -67,26 +72,27 @@ func TestCostMonotonicity(t *testing.T) {
 func TestCostObliviousIgnoresFaults(t *testing.T) {
 	g := topology.NewRing(4)
 	p := New(g, WithUniformFault(0.4), WithUniformLength(3))
-	if p.CostOblivious(0, 1) != 3 {
-		t.Fatalf("oblivious cost = %v, want 3", p.CostOblivious(0, 1))
+	id := edge(t, g, 0, 1)
+	if p.CostObliviousByEdge(id) != 3 {
+		t.Fatalf("oblivious cost = %v, want 3", p.CostObliviousByEdge(id))
 	}
-	if !(p.Cost(0, 1) > p.CostOblivious(0, 1)) {
+	if !(p.CostByEdge(id) > p.CostObliviousByEdge(id)) {
 		t.Fatal("fault-aware cost must exceed oblivious cost when f > 0")
 	}
 }
 
 func TestFaultClamping(t *testing.T) {
 	g := topology.NewRing(4)
+	id := edge(t, g, 0, 1)
 	p := New(g, WithUniformFault(2.0)) // silly input clamps below 1
-	f := p.Fault(0, 1)
-	if f >= 1 || f < 0.999 {
-		t.Fatalf("fault clamp wrong: %v", f)
+	if f := p.DeliveryFailureProbByEdge(id); f >= 1 || f < 0.999 {
+		t.Fatalf("fault clamp wrong: failure prob %v", f)
 	}
-	if math.IsInf(p.Cost(0, 1), 1) || math.IsNaN(p.Cost(0, 1)) {
+	if math.IsInf(p.CostByEdge(id), 1) || math.IsNaN(p.CostByEdge(id)) {
 		t.Fatal("cost must stay finite for clamped faults")
 	}
 	p2 := New(g, WithUniformFault(-1))
-	if p2.Fault(0, 1) != 0 {
+	if p2.DeliveryFailureProbByEdge(id) != 0 || p2.CostByEdge(id) != p2.CostObliviousByEdge(id) {
 		t.Fatal("negative fault must clamp to 0")
 	}
 }
@@ -96,7 +102,6 @@ func TestPanicsOnBadInput(t *testing.T) {
 	for _, f := range []func(){
 		func() { New(g, WithUniformBandwidth(0)) },
 		func() { New(g, WithUniformLength(-1)) },
-		func() { New(g).Cost(0, 2) }, // not an edge in ring4
 	} {
 		func() {
 			defer func() {
@@ -110,7 +115,7 @@ func TestPanicsOnBadInput(t *testing.T) {
 }
 
 // TestPanicsOnNonFiniteInput: NaN and +Inf parameters must be rejected like
-// non-positive ones, not turned into a NaN or infinite Cost.
+// non-positive ones, not turned into a NaN or infinite cost.
 func TestPanicsOnNonFiniteInput(t *testing.T) {
 	g := topology.NewRing(4)
 	nan, inf := math.NaN(), math.Inf(1)
@@ -136,21 +141,27 @@ func TestPanicsOnNonFiniteInput(t *testing.T) {
 	}
 	// Infinite faults are out of range but not NaN: clamped, as before.
 	for _, f := range []float64{inf, -inf} {
-		if c := New(g, WithUniformFault(f)).Cost(0, 1); math.IsNaN(c) || math.IsInf(c, 0) {
+		if c := New(g, WithUniformFault(f)).CostByEdge(0); math.IsNaN(c) || math.IsInf(c, 0) {
 			t.Fatalf("fault %v: cost %v, want finite", f, c)
 		}
 	}
 }
 
+// Both endpoints of a link reach the same parameters through their incident
+// edge ids, so the cost and latency of u→v and v→u agree.
 func TestEdgeSymmetry(t *testing.T) {
 	g := topology.NewTorus(3, 3)
-	p := New(g, WithEuclideanLengths(g), WithUniformBandwidth(2))
-	for _, e := range g.Edges() {
-		if p.Cost(e.U, e.V) != p.Cost(e.V, e.U) {
-			t.Fatal("cost must be symmetric")
-		}
-		if p.Latency(e.U, e.V) != p.Latency(e.V, e.U) {
-			t.Fatal("latency must be symmetric")
+	p := New(g, WithLengthFn(func(u, v int) float64 { return 1 + float64(u*v%4) }), WithUniformBandwidth(2))
+	for v := range g.N() {
+		for k, u := range g.Neighbors(v) {
+			id := g.IncidentEdgeIDs(v)[k]
+			back := edge(t, g, u, v)
+			if id != back {
+				t.Fatalf("edge %d-%d: id %d from %d, %d from %d", v, u, id, v, back, u)
+			}
+			if p.CostByEdge(id) != p.CostByEdge(back) || p.LatencyByEdge(id) != p.LatencyByEdge(back) {
+				t.Fatal("cost and latency must be symmetric")
+			}
 		}
 	}
 }
@@ -160,14 +171,17 @@ func TestRandomFaultsDeterministic(t *testing.T) {
 	p1 := New(g, WithRandomFaults(0.3, 99))
 	p2 := New(g, WithRandomFaults(0.3, 99))
 	differ := false
-	for _, e := range g.Edges() {
-		if p1.Fault(e.U, e.V) != p2.Fault(e.U, e.V) {
+	// Unit latency: the failure probability is the link's fault
+	// probability.
+	for id := range g.Edges() {
+		f := p1.DeliveryFailureProbByEdge(id)
+		if f != p2.DeliveryFailureProbByEdge(id) || p1.CostByEdge(id) != p2.CostByEdge(id) {
 			t.Fatal("random faults must be deterministic per seed")
 		}
-		if p1.Fault(e.U, e.V) < 0 || p1.Fault(e.U, e.V) >= 0.3 {
-			t.Fatalf("fault out of range: %v", p1.Fault(e.U, e.V))
+		if f < 0 || f >= 0.3 {
+			t.Fatalf("fault out of range: %v", f)
 		}
-		if p1.Fault(e.U, e.V) != p1.Fault(g.Edges()[0].U, g.Edges()[0].V) {
+		if f != p1.DeliveryFailureProbByEdge(0) {
 			differ = true
 		}
 	}
@@ -181,34 +195,21 @@ func TestDeliveryFailureProb(t *testing.T) {
 	p := New(g, WithUniformFault(0.2), WithUniformLength(3))
 	// latency 3 → 1 - 0.8^3 = 0.488
 	want := 1 - math.Pow(0.8, 3)
-	if got := p.DeliveryFailureProb(0, 1); math.Abs(got-want) > 1e-12 {
+	if got := p.DeliveryFailureProbByEdge(edge(t, g, 0, 1)); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("failure prob = %v, want %v", got, want)
-	}
-}
-
-func TestMaxCost(t *testing.T) {
-	g := topology.NewRing(4)
-	p := New(g, WithLengthFn(func(u, v int) float64 { return float64(u + v + 1) }))
-	want := 0.0
-	for _, e := range g.Edges() {
-		if c := p.Cost(e.U, e.V); c > want {
-			want = c
-		}
-	}
-	if p.MaxCost() != want {
-		t.Fatalf("MaxCost = %v, want %v", p.MaxCost(), want)
 	}
 }
 
 func TestCostScaleAndExponent(t *testing.T) {
 	g := topology.NewRing(4)
+	id := edge(t, g, 0, 1)
 	p := New(g, WithCostScale(5))
-	if p.Cost(0, 1) != 5 {
-		t.Fatalf("scaled cost = %v", p.Cost(0, 1))
+	if p.CostByEdge(id) != 5 || p.CostObliviousByEdge(id) != 5 {
+		t.Fatalf("scaled cost = %v, oblivious %v", p.CostByEdge(id), p.CostObliviousByEdge(id))
 	}
 	pe := New(g, WithUniformFault(0.5), WithFaultExponent(2))
 	pe1 := New(g, WithUniformFault(0.5), WithFaultExponent(1))
-	if !(pe.Cost(0, 1) > pe1.Cost(0, 1)) {
+	if !(pe.CostByEdge(id) > pe1.CostByEdge(id)) {
 		t.Fatal("larger fault exponent must increase cost")
 	}
 }
@@ -225,54 +226,51 @@ func TestCostBoundsQuick(t *testing.T) {
 			WithUniformLength(d),
 			WithUniformFault(fault),
 		)
-		c := p.Cost(0, 1)
-		co := p.CostOblivious(0, 1)
-		return c >= co && c > 0 && !math.IsInf(c, 1) && !math.IsNaN(c) && p.Latency(0, 1) >= 1
+		c := p.CostByEdge(0)
+		co := p.CostObliviousByEdge(0)
+		return c >= co && c > 0 && !math.IsInf(c, 1) && !math.IsNaN(c) && p.LatencyByEdge(0) >= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func BenchmarkCost(b *testing.B) {
-	g := topology.NewTorus(16, 16)
-	p := New(g, WithUniformFault(0.05))
-	edges := g.Edges()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := edges[i%len(edges)]
-		_ = p.Cost(e.U, e.V)
+// Every per-edge value is the §4.2 formula applied to the parameters the
+// options give that edge's endpoints.
+func TestByEdgeAccessorsMatch(t *testing.T) {
+	g := topology.NewTorus(4, 4)
+	bw := func(u, v int) float64 { return 1 + float64((u+v)%3) }
+	d := func(u, v int) float64 { return 1 + float64(u%2) }
+	f := func(u, v int) float64 { return float64(u+v) / 100 }
+	p := New(g, WithBandwidthFn(bw), WithLengthFn(d), WithFaultFn(f),
+		WithCostScale(1.5), WithFaultExponent(2))
+	for id, e := range g.Edges() {
+		base := d(e.U, e.V) / bw(e.U, e.V)
+		rel := 1 - f(e.U, e.V)
+		lat := max(1, int(math.Round(base)))
+		if got, want := p.CostByEdge(id), 1.5*base/math.Pow(rel, 2*base); got != want {
+			t.Fatalf("CostByEdge(%d) = %v, want %v", id, got, want)
+		}
+		if got, want := p.CostObliviousByEdge(id), 1.5*base; got != want {
+			t.Fatalf("CostObliviousByEdge(%d) = %v, want %v", id, got, want)
+		}
+		if got := p.LatencyByEdge(id); got != lat {
+			t.Fatalf("LatencyByEdge(%d) = %d, want %d", id, got, lat)
+		}
+		if got, want := p.DeliveryFailureProbByEdge(id), 1-math.Pow(rel, float64(lat)); got != want {
+			t.Fatalf("DeliveryFailureProbByEdge(%d) = %v, want %v", id, got, want)
+		}
 	}
 }
 
-func TestByEdgeAccessorsMatch(t *testing.T) {
-	g := topology.NewTorus(4, 4)
-	p := New(g,
-		WithRandomFaults(0.2, 7),
-		WithBandwidthFn(func(u, v int) float64 { return 1 + float64((u+v)%3) }),
-		WithLengthFn(func(u, v int) float64 { return 1 + float64(u%2) }),
-		WithCostScale(1.5),
-		WithFaultExponent(2),
-	)
-	for v := 0; v < g.N(); v++ {
-		ns := g.Neighbors(v)
-		ids := g.IncidentEdgeIDs(v)
-		for k, u := range ns {
-			id := ids[k]
-			if got, want := p.CostByEdge(id), p.Cost(v, u); got != want {
-				t.Fatalf("CostByEdge(%d)=%v, Cost(%d,%d)=%v", id, got, v, u, want)
-			}
-			if got, want := p.CostObliviousByEdge(id), p.CostOblivious(v, u); got != want {
-				t.Fatalf("CostObliviousByEdge mismatch on edge %d", id)
-			}
-			if got, want := p.LatencyByEdge(id), p.Latency(v, u); got != want {
-				t.Fatalf("LatencyByEdge mismatch on edge %d", id)
-			}
-			if got, want := p.DeliveryFailureProbByEdge(id), p.DeliveryFailureProb(v, u); got != want {
-				t.Fatalf("DeliveryFailureProbByEdge mismatch on edge %d", id)
-			}
-		}
+// edge returns the canonical id of the u-v link.
+func edge(t *testing.T, g *topology.Graph, u, v int) int {
+	t.Helper()
+	id, ok := g.EdgeID(u, v)
+	if !ok {
+		t.Fatalf("%d-%d is not an edge of %s", u, v, g.Name())
 	}
+	return id
 }
 
 // Latency is max(1, round(d/bw)), rounding halves away from zero, and the
@@ -288,12 +286,9 @@ func TestLatencyRoundingBoundaries(t *testing.T) {
 		}),
 		WithUniformFault(0.1),
 	)
-	for id, e := range g.Edges() {
+	for id := range g.Edges() {
 		if got := p.LatencyByEdge(id); got != want[id] {
 			t.Errorf("d/bw = %v: LatencyByEdge = %d, want %d", ratios[id], got, want[id])
-		}
-		if got := p.Latency(e.U, e.V); got != want[id] {
-			t.Errorf("d/bw = %v: Latency = %d, want %d", ratios[id], got, want[id])
 		}
 		if got, fp := p.DeliveryFailureProbByEdge(id), 1-math.Pow(0.9, float64(want[id])); got != fp {
 			t.Errorf("d/bw = %v: failure probability %v, want %v", ratios[id], got, fp)

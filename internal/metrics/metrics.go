@@ -5,25 +5,11 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 
 	"pplb/internal/sim"
 	"pplb/internal/stats"
 	"pplb/internal/trace"
 )
-
-// CV returns the coefficient of variation of the load vector; 0 is perfect
-// balance. (Alias of stats.CV for discoverability next to the other
-// imbalance indices.)
-func CV(loads []float64) float64 { return stats.CV(loads) }
-
-// MaxMinGap returns max(loads) − min(loads).
-func MaxMinGap(loads []float64) float64 {
-	if len(loads) == 0 {
-		return 0
-	}
-	return stats.Max(loads) - stats.Min(loads)
-}
 
 // L1Imbalance returns Σ|l_v − mean| — twice the total load that would have
 // to move to reach perfect balance.
@@ -38,16 +24,6 @@ func L1Imbalance(loads []float64) float64 {
 		s += d
 	}
 	return s
-}
-
-// PeakRatio returns max(loads)/mean(loads), the slowdown factor a perfectly
-// parallel program would suffer from the imbalance (1 = perfect).
-func PeakRatio(loads []float64) float64 {
-	m := stats.Mean(loads)
-	if m == 0 {
-		return 1
-	}
-	return stats.Max(loads) / m
 }
 
 // Collector records per-tick series through sim.Config.OnTick.
@@ -88,7 +64,7 @@ func (c *Collector) OnTick(s *sim.State) {
 	loads := c.scratch
 	cnt := s.Counters()
 	c.Ticks = append(c.Ticks, float64(s.Tick()))
-	c.CV = append(c.CV, CV(loads))
+	c.CV = append(c.CV, stats.CV(loads))
 	c.MaxLoad = append(c.MaxLoad, stats.Max(loads))
 	c.MinLoad = append(c.MinLoad, stats.Min(loads))
 	c.L1 = append(c.L1, L1Imbalance(loads))
@@ -100,40 +76,6 @@ func (c *Collector) OnTick(s *sim.State) {
 
 // Len returns the number of recorded samples.
 func (c *Collector) Len() int { return len(c.Ticks) }
-
-// Series returns a recorded series by name ("cv", "max", "min", "l1",
-// "inflight", "migrations", "traffic", "faults", "ticks"); nil for unknown
-// names.
-func (c *Collector) Series(name string) []float64 {
-	switch name {
-	case "ticks":
-		return c.Ticks
-	case "cv":
-		return c.CV
-	case "max":
-		return c.MaxLoad
-	case "min":
-		return c.MinLoad
-	case "l1":
-		return c.L1
-	case "inflight":
-		return c.InFlight
-	case "migrations":
-		return c.Migrations
-	case "traffic":
-		return c.Traffic
-	case "faults":
-		return c.Faults
-	}
-	return nil
-}
-
-// SeriesNames lists the available series in a stable order.
-func (c *Collector) SeriesNames() []string {
-	names := []string{"ticks", "cv", "max", "min", "l1", "inflight", "migrations", "traffic", "faults"}
-	sort.Strings(names)
-	return names
-}
 
 // ConvergenceTick returns the first recorded tick at which the CV series
 // drops below eps and stays below it for the remainder of the run (a
@@ -160,7 +102,7 @@ func (c *Collector) FinalCV() float64 {
 	return c.CV[len(c.CV)-1]
 }
 
-// Frame exports all recorded series as a trace.Frame for CSV/JSON output.
+// Frame exports all recorded series as a trace.Frame for CSV output.
 func (c *Collector) Frame() *trace.Frame {
 	return trace.NewFrame().
 		Add("tick", c.Ticks).

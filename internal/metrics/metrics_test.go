@@ -1,7 +1,11 @@
 package metrics
 
 import (
+	"bytes"
+	"encoding/csv"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -11,24 +15,14 @@ import (
 )
 
 func TestImbalanceIndices(t *testing.T) {
-	balanced := []float64{4, 4, 4, 4}
-	if CV(balanced) != 0 || MaxMinGap(balanced) != 0 || L1Imbalance(balanced) != 0 {
+	if L1Imbalance([]float64{4, 4, 4, 4}) != 0 {
 		t.Fatal("balanced vector must have zero imbalance")
 	}
-	if PeakRatio(balanced) != 1 {
-		t.Fatal("balanced peak ratio must be 1")
-	}
 	loads := []float64{8, 0, 4, 4}
-	if MaxMinGap(loads) != 8 {
-		t.Fatalf("gap = %v", MaxMinGap(loads))
-	}
 	if L1Imbalance(loads) != 8 { // |8-4|+|0-4| = 8
 		t.Fatalf("l1 = %v", L1Imbalance(loads))
 	}
-	if PeakRatio(loads) != 2 {
-		t.Fatalf("peak ratio = %v", PeakRatio(loads))
-	}
-	if MaxMinGap(nil) != 0 || PeakRatio(nil) != 1 {
+	if L1Imbalance(nil) != 0 {
 		t.Fatal("empty input defaults wrong")
 	}
 }
@@ -71,24 +65,6 @@ func TestCollectorSubsampling(t *testing.T) {
 	}
 }
 
-func TestSeriesAccess(t *testing.T) {
-	c := collectorRun(t, 1, 10)
-	for _, name := range []string{"ticks", "cv", "max", "min", "l1", "inflight", "migrations", "traffic", "faults"} {
-		if c.Series(name) == nil {
-			t.Fatalf("series %q missing", name)
-		}
-		if len(c.Series(name)) != c.Len() {
-			t.Fatalf("series %q length mismatch", name)
-		}
-	}
-	if c.Series("nope") != nil {
-		t.Fatal("unknown series must be nil")
-	}
-	if len(c.SeriesNames()) != 9 {
-		t.Fatal("series name list wrong")
-	}
-}
-
 func TestConvergenceTick(t *testing.T) {
 	c := &Collector{
 		Ticks: []float64{0, 10, 20, 30, 40},
@@ -112,17 +88,30 @@ func TestConvergenceTick(t *testing.T) {
 	}
 }
 
+// The CSV export carries every series, one full row per sample.
 func TestFrameExport(t *testing.T) {
 	c := collectorRun(t, 1, 20)
-	f := c.Frame()
-	if f.Rows() != 20 {
-		t.Fatalf("frame rows = %d", f.Rows())
+	var buf bytes.Buffer
+	if err := c.Frame().WriteCSV(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if len(f.Columns()) != 9 {
-		t.Fatalf("frame columns = %v", f.Columns())
+	recs, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if f.Column("cv")[0] != c.CV[0] {
-		t.Fatal("frame column mismatch")
+	if got := strings.Join(recs[0], ","); got != "tick,cv,max,min,l1,inflight,migrations,traffic,faults" {
+		t.Fatalf("frame columns = %s", got)
+	}
+	if len(recs) != 21 {
+		t.Fatalf("frame rows = %d, want 20", len(recs)-1)
+	}
+	for i, rec := range recs[1:] {
+		if slices.Contains(rec, "") {
+			t.Fatalf("row %d has an empty cell: %v", i, rec)
+		}
+	}
+	if recs[1][1] != strconv.FormatFloat(c.CV[0], 'g', -1, 64) {
+		t.Fatalf("frame cv %s, collector %v", recs[1][1], c.CV[0])
 	}
 }
 

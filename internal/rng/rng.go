@@ -132,9 +132,6 @@ func (r *RNG) Intn(n int) int {
 	}
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // IntBetween returns a uniform int in [lo, hi] inclusive. It panics when
 // hi < lo. Scenario generators use it for bounded structural draws (sizes,
 // tick counts, periods) where an inclusive range reads more naturally than
@@ -240,19 +237,6 @@ func (r *RNG) Poisson(mean float64) int {
 		return 0
 	}
 	return int(v + 0.5)
-}
-
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Shuffle permutes the first n elements using swap, Fisher-Yates style.

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -206,28 +205,6 @@ func TestPoissonNonPositiveMean(t *testing.T) {
 	r := New(13)
 	if r.Poisson(0) != 0 || r.Poisson(-5) != 0 {
 		t.Fatal("Poisson with non-positive mean must return 0")
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(14)
-	check := func(n uint8) bool {
-		size := int(n%64) + 1
-		p := r.Perm(size)
-		if len(p) != size {
-			return false
-		}
-		seen := make([]bool, size)
-		for _, v := range p {
-			if v < 0 || v >= size || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

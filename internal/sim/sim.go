@@ -10,11 +10,11 @@
 //     the tick and proposes task migrations;
 //  3. application — proposed moves are validated (edge exists, link free,
 //     task resident, one transfer per link, one move per task) and become
-//     in-flight transfers occupying their link for Latency(u,v) ticks;
+//     in-flight transfers occupying their link for LatencyByEdge ticks;
 //  4. transfer advancement — arriving transfers either deliver (possibly
 //     marking the task as still Moving, the PPLB inertia mechanism) or hit a
-//     link fault with probability DeliveryFailureProb and bounce back to the
-//     sender;
+//     link fault with probability DeliveryFailureProbByEdge and bounce back
+//     to the sender;
 //  5. service — each node consumes up to ServiceRate load (0 = quiescent
 //     model, the setting of the paper's convergence theorems);
 //  6. observation — the OnTick hook fires for metrics collection.

@@ -387,8 +387,8 @@ func TestTransferLatencyExact(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			g := topology.NewRing(4)
 			links := linkmodel.New(g, linkmodel.WithUniformLength(L), linkmodel.WithUniformFault(tc.fault))
-			if got := links.Latency(0, 1); got != L {
-				t.Fatalf("link latency %d, want %d", got, L)
+			if eid, _ := g.EdgeID(0, 1); links.LatencyByEdge(eid) != L {
+				t.Fatalf("link latency %d, want %d", links.LatencyByEdge(eid), L)
 			}
 			moveOnce := policyFunc(func(v int, view *State, r *rng.RNG) []Move {
 				if v == 0 && view.Tick() == 0 {

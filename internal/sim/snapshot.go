@@ -179,7 +179,7 @@ func (r *snapReader) count(min int) int {
 		return 0
 	}
 	if n > uint64(len(r.b)-r.off)/uint64(min) {
-		r.fail("implausible count %d at offset %d (%d bytes remain)", n, r.off-8, len(r.b)-r.off)
+		r.fail("implausible count %d at offset %d: %d bytes remain (truncated or corrupt)", n, r.off-8, len(r.b)-r.off)
 		return 0
 	}
 	return int(n)
@@ -494,6 +494,11 @@ func (e *Engine) restoreBody(r *snapReader) error {
 		slots[h].MovedTick = r.i64()
 	}
 	idBound := taskmodel.ID(r.i64())
+	// A cut inside the arena reads as zeros from here on: report the cut,
+	// not the cross-checks the zeros would fail.
+	if r.err != nil {
+		return r.err
+	}
 	// Ids are issued sequentially, so the store's id index is always exactly
 	// nextTaskID entries — enforcing that here keeps a corrupted length field
 	// from driving an O(idBound) allocation below. The absolute cap bounds
@@ -605,6 +610,9 @@ func (e *Engine) restoreBody(r *snapReader) error {
 			sh.recs = append(sh.recs, rec)
 			s.linkBusy[rec.edge] = true
 		}
+	}
+	if r.err != nil {
+		return r.err
 	}
 	if ownedCnt != st.Live() {
 		return fmt.Errorf("sim: snapshot: %d live slots but %d owned by queues/transfers", st.Live(), ownedCnt)

@@ -245,13 +245,47 @@ func completionEdits(tb testing.TB) (snap []byte, edits []snapEdit) {
 	return snap, []snapEdit{{"live slot with a completion tick", "completion tick", done}}
 }
 
+// truncationEdits returns a snapshot of fuzzRestoreConfig's system with
+// transfers in flight, and two cuts of it, each inside a section that
+// cross-field checks follow: 30 bytes into the first slot record (the
+// id-bound check), and inside the first transfer shard's count (the
+// slot-ownership check). A failed reader reads zeros, so a check run on them
+// would report a mismatch instead of the cut.
+func truncationEdits(tb testing.TB) (snap []byte, edits []snapEdit) {
+	tb.Helper()
+	e := fuzzRestoreEngine(tb)
+	defer e.Close()
+	for e.state.InFlight() == 0 {
+		e.Step()
+	}
+	var err error
+	if snap, err = e.Snapshot(); err != nil {
+		tb.Fatal(err)
+	}
+	slot := busyFlagsAt(e, snap) + len(e.state.linkBusy) + 8
+	if int64(binary.LittleEndian.Uint64(snap[slot:])) != int64(e.state.tasks.ID(0)) {
+		tb.Fatal("first slot record not where expected")
+	}
+	// The shard sections end where the in-flight section starts; each is a
+	// count and 22-byte records.
+	shards := inflightAt(e, snap)
+	for k := range e.state.shards {
+		shards -= 8 + 22*len(e.state.shards[k].recs)
+	}
+	return snap, []snapEdit{
+		{"cut 30 bytes into the first slot record", "truncated", snap[:slot+30]},
+		{"cut inside the first transfer shard's count", "truncated", snap[:shards+4]},
+	}
+}
+
 // FuzzRestore feeds mutated snapshot bytes through Restore: any input must
 // either produce a working engine (stepped once to shake out latent decode
 // corruption) or a descriptive error — never a panic or a hostile-length
 // allocation. The seed corpus holds real snapshots of the matching system
 // (several ticks, so free-list recycling, transfers and inertia records are
 // all populated), one snapshot from a mismatched epoch, hand-truncated
-// variants, the link-state, inertia-record and completion-field edits;
+// variants, the link-state, inertia-record and completion-field edits and
+// the section cuts;
 // `go test` runs the corpus as part of the merge gate and the nightly job
 // mutates from there.
 func FuzzRestore(f *testing.F) {
@@ -280,7 +314,8 @@ func FuzzRestore(f *testing.F) {
 	_, linkEdits := linkStateEdits(f)
 	_, inertia := inertiaEdits(f)
 	_, completion := completionEdits(f)
-	for _, ed := range slices.Concat(linkEdits, inertia, completion) {
+	_, cuts := truncationEdits(f)
+	for _, ed := range slices.Concat(linkEdits, inertia, completion, cuts) {
 		f.Add(ed.snap)
 	}
 
@@ -336,6 +371,13 @@ func TestSnapshotRestoreChecksInertiaRecords(t *testing.T) {
 // same bytes.
 func TestSnapshotRestoreChecksCompletionField(t *testing.T) {
 	expectRejected(t, completionEdits)
+}
+
+// Restore reports a cut snapshot as truncated, also where the cut falls in a
+// section whose cross-field checks would otherwise compare the zeros read
+// past it.
+func TestSnapshotRestoreReportsTruncation(t *testing.T) {
+	expectRejected(t, truncationEdits)
 }
 
 // expectRejected restores the unedited snapshot edits returns, which must

@@ -1,6 +1,6 @@
 // Package stats provides the small statistics kit used by the metrics layer
-// and the experiment harness: batch summaries, online (Welford) accumulation,
-// percentiles, histograms and least-squares fits.
+// and the experiment harness: batch moments, extremes and percentiles, and
+// online (Welford) accumulation.
 //
 // All functions define their behaviour on empty input (returning zero values
 // rather than NaN) because the simulator frequently summarises series that may
@@ -112,34 +112,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Summary bundles the usual descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	CV     float64
-	Min    float64
-	Max    float64
-	P50    float64
-	P95    float64
-	Sum    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		CV:     CV(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		P50:    Percentile(xs, 50),
-		P95:    Percentile(xs, 95),
-		Sum:    Sum(xs),
-	}
-}
-
 // Online accumulates a running mean and variance using Welford's algorithm,
 // avoiding a second pass and catastrophic cancellation. The zero value is
 // ready to use.
@@ -211,100 +183,4 @@ func (o *Online) State() OnlineState {
 // SetState overwrites the accumulator with a state obtained from State.
 func (o *Online) SetState(s OnlineState) {
 	o.n, o.mean, o.m2, o.min, o.max = s.N, s.Mean, s.M2, s.Min, s.Max
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi); values outside the range
-// are clamped into the first/last bin so that totals are preserved.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over [lo, hi).
-// It panics if bins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: histogram needs at least one bin")
-	}
-	if hi <= lo {
-		panic("stats: histogram range must have hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	idx := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= bins {
-		idx = bins - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// LinearFit returns the least-squares slope and intercept of y against x.
-// It returns (0, mean(y)) when the x values have no spread or the inputs are
-// empty/mismatched, so callers can use it on degenerate series safely.
-func LinearFit(x, y []float64) (slope, intercept float64) {
-	n := len(x)
-	if n == 0 || n != len(y) {
-		return 0, Mean(y)
-	}
-	mx, my := Mean(x), Mean(y)
-	var sxx, sxy float64
-	for i := 0; i < n; i++ {
-		dx := x[i] - mx
-		sxx += dx * dx
-		sxy += dx * (y[i] - my)
-	}
-	if sxx == 0 {
-		return 0, my
-	}
-	slope = sxy / sxx
-	intercept = my - slope*mx
-	return slope, intercept
-}
-
-// GeometricMean returns the geometric mean of xs (all values must be > 0;
-// non-positive values are skipped). Returns 0 for empty/efectively empty input.
-func GeometricMean(xs []float64) float64 {
-	s := 0.0
-	n := 0
-	for _, x := range xs {
-		if x > 0 {
-			s += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(s / float64(n))
-}
-
-// AbsDiffSum returns sum_i |a_i - b_i| over the common prefix of a and b.
-func AbsDiffSum(a, b []float64) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	s := 0.0
-	for i := 0; i < n; i++ {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s
 }

@@ -82,13 +82,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 || s.Sum != 10 {
-		t.Fatalf("bad summary: %+v", s)
-	}
-}
-
 func TestOnlineMatchesBatch(t *testing.T) {
 	r := rng.New(77)
 	xs := make([]float64, 500)
@@ -115,80 +108,6 @@ func TestOnlineZeroValue(t *testing.T) {
 	var o Online
 	if o.N() != 0 || o.Mean() != 0 || o.Variance() != 0 || o.Min() != 0 || o.Max() != 0 {
 		t.Fatal("zero-value Online must report zeros")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{0, 1.9, 2, 5, 9.99, -3, 42} {
-		h.Add(v)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	// -3 clamps to bin 0, 42 clamps to bin 4.
-	if h.Counts[0] != 3 { // 0, 1.9, -3
-		t.Fatalf("bin0 = %d, want 3", h.Counts[0])
-	}
-	if h.Counts[4] != 2 { // 9.99, 42
-		t.Fatalf("bin4 = %d, want 2", h.Counts[4])
-	}
-	if !approx(h.BinCenter(0), 1, 1e-12) {
-		t.Fatalf("BinCenter(0) = %v", h.BinCenter(0))
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 1, 0) },
-		func() { NewHistogram(1, 1, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestLinearFitExact(t *testing.T) {
-	x := []float64{0, 1, 2, 3}
-	y := []float64{5, 7, 9, 11} // y = 2x + 5
-	slope, intercept := LinearFit(x, y)
-	if !approx(slope, 2, 1e-12) || !approx(intercept, 5, 1e-12) {
-		t.Fatalf("fit = %v, %v", slope, intercept)
-	}
-}
-
-func TestLinearFitDegenerate(t *testing.T) {
-	slope, intercept := LinearFit([]float64{2, 2, 2}, []float64{1, 3, 5})
-	if slope != 0 || !approx(intercept, 3, 1e-12) {
-		t.Fatalf("degenerate fit = %v, %v", slope, intercept)
-	}
-	slope, intercept = LinearFit(nil, nil)
-	if slope != 0 || intercept != 0 {
-		t.Fatal("empty fit must be 0,0")
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	if !approx(GeometricMean([]float64{1, 4, 16}), 4, 1e-9) {
-		t.Fatalf("GeometricMean = %v", GeometricMean([]float64{1, 4, 16}))
-	}
-	if GeometricMean([]float64{-1, 0}) != 0 {
-		t.Fatal("GeometricMean of non-positive values must be 0")
-	}
-}
-
-func TestAbsDiffSum(t *testing.T) {
-	if AbsDiffSum([]float64{1, 2, 3}, []float64{2, 2, 1}) != 3 {
-		t.Fatal("AbsDiffSum wrong")
-	}
-	if AbsDiffSum([]float64{1, 2}, []float64{1}) != 0 {
-		t.Fatal("AbsDiffSum over common prefix only")
 	}
 }
 
@@ -237,18 +156,6 @@ func TestPercentileMonotoneQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkSummarize(b *testing.B) {
-	r := rng.New(1)
-	xs := make([]float64, 1024)
-	for i := range xs {
-		xs[i] = r.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Summarize(xs)
 	}
 }
 

@@ -194,9 +194,6 @@ func (s *Store) Birth(h Handle) int64 { return s.birth[h] }
 // phase without any shared set.
 func (s *Store) MovedTick(h Handle) int64 { return s.movedTick[h] }
 
-// SetLoad overwrites the task's remaining load.
-func (s *Store) SetLoad(h Handle, v float64) { s.load[h] = v }
-
 // SetFlag overwrites the potential-height flag.
 func (s *Store) SetFlag(h Handle, v float64) { s.flag[h] = v }
 

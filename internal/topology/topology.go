@@ -157,12 +157,6 @@ func (g *Graph) IncidentEdgeIDs(v int) []int {
 	return g.nbrEdge[lo:hi:hi]
 }
 
-// HasEdge reports whether u and v are adjacent.
-func (g *Graph) HasEdge(u, v int) bool {
-	_, ok := slices.BinarySearch(g.Neighbors(u), v)
-	return ok
-}
-
 // Edges returns all undirected edges with U < V in canonical order. The
 // slice is shared; callers must not modify it.
 func (g *Graph) Edges() []Edge { return g.edges }
@@ -190,15 +184,6 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // Coord returns the M2 embedding of node v.
 func (g *Graph) Coord(v int) Point2 { return g.coords[v] }
-
-// EuclideanLength returns the geometric length of the (u,v) link under M2.
-// Used as the default distance matrix D of §4.2.
-func (g *Graph) EuclideanLength(u, v int) float64 {
-	du := g.coords[u]
-	dv := g.coords[v]
-	dx, dy := du.X-dv.X, du.Y-dv.Y
-	return math.Sqrt(dx*dx + dy*dy)
-}
 
 // BFSDistances returns the hop distance from src to every node (-1 when
 // unreachable).
@@ -506,18 +491,4 @@ func NewCCC(d int) *Graph {
 		}
 	}
 	return build(fmt.Sprintf("ccc%d", d), s, coords)
-}
-
-// MeshDims returns rows, cols for graphs created by NewMesh/NewTorus by
-// parsing the name, or ok=false otherwise. The surface visualiser uses it to
-// lay heights on a grid.
-func MeshDims(g *Graph) (rows, cols int, ok bool) {
-	var r, c int
-	if n, err := fmt.Sscanf(g.Name(), "mesh%dx%d", &r, &c); err == nil && n == 2 {
-		return r, c, true
-	}
-	if n, err := fmt.Sscanf(g.Name(), "torus%dx%d", &r, &c); err == nil && n == 2 {
-		return r, c, true
-	}
-	return 0, 0, false
 }

@@ -1,13 +1,11 @@
-// Package trace exports recorded simulation series as CSV or JSON, so
-// experiment output can be fed to external plotting or analysis tools.
+// Package trace exports recorded simulation series as CSV, so experiment
+// output can be fed to external plotting or analysis tools.
 package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 )
 
@@ -29,12 +27,6 @@ func (f *Frame) Add(name string, values []float64) *Frame {
 	f.cols[name] = values
 	return f
 }
-
-// Columns returns the column names in insertion order.
-func (f *Frame) Columns() []string { return append([]string(nil), f.order...) }
-
-// Column returns a column by name (nil if absent).
-func (f *Frame) Column(name string) []float64 { return f.cols[name] }
 
 // Rows returns the length of the longest column.
 func (f *Frame) Rows() int {
@@ -71,32 +63,4 @@ func (f *Frame) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// WriteJSON writes the frame as a {"column": [...]} object with columns in
-// sorted key order (encoding/json sorts map keys).
-func (f *Frame) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f.cols)
-}
-
-// Meta is a set of key-value annotations (run parameters) exportable as
-// JSON alongside a frame.
-type Meta map[string]interface{}
-
-// WriteJSON writes the metadata with stable key order.
-func (m Meta) WriteJSON(w io.Writer) error {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	ordered := make(map[string]interface{}, len(m))
-	for _, k := range keys {
-		ordered[k] = m[k]
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ordered)
 }

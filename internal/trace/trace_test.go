@@ -3,10 +3,22 @@ package trace
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
-	"strings"
 	"testing"
 )
+
+// csvOf returns the records f writes as CSV.
+func csvOf(t *testing.T, f *Frame) [][]string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := f.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	records, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return records
+}
 
 func TestFrameBasics(t *testing.T) {
 	f := NewFrame().
@@ -15,24 +27,21 @@ func TestFrameBasics(t *testing.T) {
 	if f.Rows() != 3 {
 		t.Fatalf("rows = %d", f.Rows())
 	}
-	cols := f.Columns()
-	if len(cols) != 2 || cols[0] != "tick" || cols[1] != "cv" {
-		t.Fatalf("columns = %v", cols)
+	records := csvOf(t, f)
+	if h := records[0]; len(h) != 2 || h[0] != "tick" || h[1] != "cv" {
+		t.Fatalf("columns = %v", h)
 	}
-	if f.Column("cv")[1] != 0.5 {
-		t.Fatal("column access wrong")
-	}
-	if f.Column("missing") != nil {
-		t.Fatal("missing column must be nil")
+	if records[2][1] != "0.5" {
+		t.Fatal("column values wrong")
 	}
 }
 
 func TestFrameReplaceKeepsOrder(t *testing.T) {
 	f := NewFrame().Add("a", []float64{1}).Add("b", []float64{2})
 	f.Add("a", []float64{9})
-	cols := f.Columns()
-	if cols[0] != "a" || f.Column("a")[0] != 9 {
-		t.Fatal("replace must keep position and update values")
+	records := csvOf(t, f)
+	if records[0][0] != "a" || records[0][1] != "b" || records[1][0] != "9" {
+		t.Fatalf("replace must keep position and update values: %v", records)
 	}
 }
 
@@ -40,14 +49,7 @@ func TestWriteCSV(t *testing.T) {
 	f := NewFrame().
 		Add("x", []float64{1, 2}).
 		Add("y", []float64{0.5, 1.5, 2.5}) // ragged: x pads
-	var buf bytes.Buffer
-	if err := f.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	records, err := csv.NewReader(strings.NewReader(buf.String())).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := csvOf(t, f)
 	if len(records) != 4 { // header + 3 rows
 		t.Fatalf("rows = %d", len(records))
 	}
@@ -56,36 +58,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if records[3][0] != "" || records[3][1] != "2.5" {
 		t.Fatalf("ragged padding wrong: %v", records[3])
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	f := NewFrame().Add("cv", []float64{1, 0.25})
-	var buf bytes.Buffer
-	if err := f.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var decoded map[string][]float64
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded["cv"]) != 2 || decoded["cv"][1] != 0.25 {
-		t.Fatalf("decoded = %v", decoded)
-	}
-}
-
-func TestMetaJSON(t *testing.T) {
-	m := Meta{"seed": 42, "topology": "torus8x8"}
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var decoded map[string]interface{}
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded["topology"] != "torus8x8" {
-		t.Fatalf("decoded = %v", decoded)
 	}
 }
 

@@ -26,8 +26,8 @@
 //
 // The deeper layers remain accessible for advanced use: the simulation
 // engine (sim.Config via NewSystem options), the physics engine backing the
-// paper's Section 3 (RunParticle...), and the experiment registry
-// (RunExperiment).
+// paper's Section 3 (NewParticle, SimulateParticle), and the experiment
+// registry (RunExperiment).
 package pplb
 
 import (
